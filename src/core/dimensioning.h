@@ -93,16 +93,12 @@ struct SolveOptions {
   /// drop applications). Requires memoize_admission (the index hangs off
   /// the verdict store); ignored without it.
   bool subsumption_admission = true;
-  /// Memoize the per-application analysis phase (engine/analysis): the
-  /// stability certificate and dwell tables of each plant/gain/spec
-  /// tuple are answered from a content-addressed AnalysisCache instead
-  /// of recomputed. The dimensioning result is byte-identical either
-  /// way — the analysis is a pure function of the key.
-  bool memoize_analysis = true;
-  /// Analysis cache shared across solves (batch jobs, a serve process):
-  /// scenarios that perturb arrival patterns but reuse the same plants
-  /// then pay the ~stability+dwell cost once instead of per job.
-  /// nullptr + memoize_analysis gives the solve a private cache.
+  /// Analysis cache (engine/analysis): the stability certificate and
+  /// dwell tables of each plant/gain/spec tuple are answered from this
+  /// content-addressed cache instead of recomputed. Shared across solves
+  /// (batch jobs, a serve process), scenarios that perturb arrival
+  /// patterns but reuse the same plants pay the ~stability+dwell cost
+  /// once instead of per job. nullptr gives the solve a private cache.
   std::shared_ptr<engine::analysis::AnalysisCache> analysis_cache;
   /// Thread budget of the per-application analysis phase (stability +
   /// dwell tables) and of the dwell-row search: 1 = serial (default),
@@ -122,8 +118,7 @@ struct SolveOptions {
   /// and whole-solve results survive the process, so a restarted daemon
   /// or a CI run restoring the directory starts warm. nullptr (default)
   /// disables the tier; the dimensioning result is byte-identical either
-  /// way. The analysis/verdict spaces are consulted only when the
-  /// corresponding memoize_* gate above is on.
+  /// way. The verdict space is consulted only with memoize_admission on.
   std::shared_ptr<engine::cache::DiskCache> disk_cache;
   /// Whole-solve result cache keyed by SolveKey (the full canonical
   /// input): a hit returns the complete Solution without running any

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <exception>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
@@ -27,12 +26,12 @@ using engine::oracle::SolveStats;
 
 constexpr const char* kSolutionDiskSpace = "solution";
 
-/// A nullptr cache field with its enabling flag on gets a private
-/// session-lifetime cache — the per-call private cache of the old
-/// monolithic solve(), hoisted to construction so redimension passes
-/// stay warm.
+/// A nullptr cache field gets a private session-lifetime cache (the
+/// admission tiers only when their flag is on) — the per-call private
+/// cache of the old monolithic solve(), hoisted to construction so
+/// redimension passes stay warm.
 SolveOptions materialize_caches(SolveOptions options) {
-  if (options.memoize_analysis && options.analysis_cache == nullptr)
+  if (options.analysis_cache == nullptr)
     options.analysis_cache =
         std::make_shared<engine::analysis::AnalysisCache>();
   if (options.memoize_admission && options.verdict_cache == nullptr)
@@ -151,74 +150,62 @@ void DimensioningSession::stamp_oracle(SolveStats& stats,
 // inserted; the result is byte-identical either way. Applications are
 // independent, so the phase runs through the deterministic parallel-for
 // (on the shared Executor pool): every app writes only its own slot and
-// the assembled vector is identical for any thread count. The serial
-// path stops at the first failing app in input order; the parallel path
-// reproduces that by rethrowing the lowest-index failure.
+// the assembled vector is identical for any thread count. A failing app
+// propagates out of parallel_for_index, which fails fast when serial and
+// rethrows the lowest-index failure when concurrent — so every thread
+// count throws the first failing app in input order.
 std::vector<AppSolution> DimensioningSession::stage_analysis(
     const std::vector<AppSpec>& specs, SolveStats& stats) const {
-  engine::analysis::AnalysisCache* const cache =
-      options_.memoize_analysis ? options_.analysis_cache.get() : nullptr;
+  engine::analysis::AnalysisCache& cache = *options_.analysis_cache;
   engine::cache::DiskCache* const disk = options_.disk_cache.get();
-  const long evictions_before = cache ? cache->stats().evictions : 0;
+  const long evictions_before = cache.stats().evictions;
   const int napps = static_cast<int>(specs.size());
   const int resolved = engine::resolve_threads(options_.analysis_threads);
   const int threads = std::min(resolved, napps);
   const int row_threads = std::max(1, resolved / napps);
   std::vector<std::optional<AppSolution>> analyzed(specs.size());
-  std::vector<std::exception_ptr> failures(specs.size());
   std::vector<double> stability_ms(specs.size(), 0.0);
   std::vector<double> dwell_ms(specs.size(), 0.0);
   std::vector<char> cache_hit(specs.size(), 0);
   const auto t_analysis = Clock::now();
   engine::parallel_for_index(threads, napps, [&](int i) {
     const AppSpec& spec = specs[static_cast<size_t>(i)];
-    try {
-      engine::analysis::AppAnalysisSpec aspec;
-      aspec.dwell.settling_requirement = spec.settling_requirement;
-      aspec.dwell.settling = options_.settling;
-      aspec.dwell.tw_granularity = options_.tw_granularity;
-      aspec.stop_on_unstable = options_.require_switching_stability;
-      const engine::analysis::AppAnalysisOutcome outcome =
-          engine::analysis::analyze_app(spec.plant, spec.kt, spec.ke, aspec,
-                                        cache, row_threads, disk);
-      stability_ms[static_cast<size_t>(i)] = outcome.stability_ms;
-      dwell_ms[static_cast<size_t>(i)] = outcome.dwell_ms;
-      cache_hit[static_cast<size_t>(i)] = outcome.cache_hit ? 1 : 0;
+    engine::analysis::AppAnalysisSpec aspec;
+    aspec.dwell.settling_requirement = spec.settling_requirement;
+    aspec.dwell.settling = options_.settling;
+    aspec.dwell.tw_granularity = options_.tw_granularity;
+    aspec.stop_on_unstable = options_.require_switching_stability;
+    const engine::analysis::AppAnalysisOutcome outcome =
+        engine::analysis::analyze_app(spec.plant, spec.kt, spec.ke, aspec,
+                                      &cache, row_threads, disk);
+    stability_ms[static_cast<size_t>(i)] = outcome.stability_ms;
+    dwell_ms[static_cast<size_t>(i)] = outcome.dwell_ms;
+    cache_hit[static_cast<size_t>(i)] = outcome.cache_hit ? 1 : 0;
 
-      AppSolution app{spec, {}, {}, outcome.result->stability};
-      if (options_.require_switching_stability &&
-          !app.stability.switching_stable())
-        throw std::invalid_argument(
-            "solve: gain pair of " + spec.name +
-            " is not switching stable (set require_switching_stability = "
-            "false to override)");
-      // Past the stability gate the analysis always carries tables
-      // (stop_on_unstable mirrors require_switching_stability).
-      TTDIM_CHECK(outcome.result->tables_computed);
-      app.tables = outcome.result->tables;
-      if (!app.tables.feasible())
-        throw std::invalid_argument("solve: requirement of " + spec.name +
-                                    " infeasible even with zero wait");
-      app.timing = verify::make_app_timing(spec.name, app.tables,
-                                           spec.min_interarrival);
-      analyzed[static_cast<size_t>(i)] = std::move(app);
-    } catch (...) {
-      // Serial runs (the default) fail fast like the pre-oracle loop did;
-      // concurrent workers record the failure and let in-flight siblings
-      // drain, then the lowest-index one is rethrown below.
-      if (threads <= 1) throw;
-      failures[static_cast<size_t>(i)] = std::current_exception();
-    }
+    AppSolution app{spec, {}, {}, outcome.result->stability};
+    if (options_.require_switching_stability &&
+        !app.stability.switching_stable())
+      throw std::invalid_argument(
+          "solve: gain pair of " + spec.name +
+          " is not switching stable (set require_switching_stability = "
+          "false to override)");
+    // Past the stability gate the analysis always carries tables
+    // (stop_on_unstable mirrors require_switching_stability).
+    TTDIM_CHECK(outcome.result->tables_computed);
+    app.tables = outcome.result->tables;
+    if (!app.tables.feasible())
+      throw std::invalid_argument("solve: requirement of " + spec.name +
+                                  " infeasible even with zero wait");
+    app.timing = verify::make_app_timing(spec.name, app.tables,
+                                         spec.min_interarrival);
+    analyzed[static_cast<size_t>(i)] = std::move(app);
   });
-  for (const std::exception_ptr& failure : failures)
-    if (failure) std::rethrow_exception(failure);
   stats.analysis_ms += ms_since(t_analysis);
   stats.analysis_threads = resolved;
   for (double v : stability_ms) stats.stability_ms += v;
   for (double v : dwell_ms) stats.dwell_ms += v;
   for (char hit : cache_hit) (hit ? stats.analysis_hits : stats.analysis_misses)++;
-  if (cache)
-    stats.analysis_evictions += cache->stats().evictions - evictions_before;
+  stats.analysis_evictions += cache.stats().evictions - evictions_before;
   std::vector<AppSolution> apps;
   apps.reserve(specs.size());
   for (std::optional<AppSolution>& app : analyzed)
@@ -227,7 +214,7 @@ std::vector<AppSolution> DimensioningSession::stage_analysis(
 }
 
 // ---- Stage 2: proposed mapping — first-fit + model checking, routed
-// through the session's memoized admission oracle (engine/oracle). --------
+// through the session's admission oracle (engine/oracle). -----------------
 mapping::SlotAssignment DimensioningSession::stage_mapping(
     const std::vector<verify::AppTiming>& timings,
     const std::vector<int>& order, SolveStats& stats) const {
@@ -296,6 +283,7 @@ Solution DimensioningSession::solve(const std::vector<AppSpec>& specs) {
       out.stats.solution_hits = 1;
       out.stats.analysis_threads =
           engine::resolve_threads(options_.analysis_threads);
+      out.stats.proof_threads = proof_threads_;
       stamp_disk(disk, disk_before, out.stats);
       out.stats.total_ms = ms_since(t_solve);
       return out;

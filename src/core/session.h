@@ -68,9 +68,10 @@ struct Delta {
 };
 
 /// Long-lived dimensioning pipeline. Construction materializes every
-/// cache the options enable (a nullptr cache field + its memoize flag
-/// gets a private session-lifetime cache, where solve() used to build a
-/// private per-call one) and the admission oracle; solve() runs one full
+/// cache the options enable (a nullptr cache field gets a private
+/// session-lifetime cache — the admission tiers only when their flag is
+/// on — where solve() used to build a private per-call one) and the
+/// admission oracle; solve() runs one full
 /// staged pass and installs the result as the standing solution;
 /// redimension() edits the standing solution under the same proofs.
 ///

@@ -60,7 +60,7 @@ struct SlotConfigKey {
   /// state budget (a smaller budget can turn a completed proof into a
   /// budget-exhausted throw, so sharing verdicts across budgets would
   /// make memoization observable). Witness/traversal options are
-  /// excluded — the memoized oracle caches only exhaustive safe verdicts
+  /// excluded — the oracle caches only exhaustive safe verdicts
   /// and bypasses the cache for witness queries. proof_threads is
   /// likewise excluded: serial and parallel proofs are contractually
   /// interchangeable (identical verdicts, identical safe state counts —

@@ -26,17 +26,6 @@ namespace ttdim::linalg {
 /// discrete-time system x+ = a x is asymptotically (Schur) stable.
 [[nodiscard]] bool is_schur_stable(const Matrix& a, double margin = 0.0);
 
-/// Eigendecomposition of a symmetric matrix (cyclic Jacobi).
-/// a == vectors * diag(values) * vectors'. Eigenvalues are unordered.
-struct SymEig {
-  std::vector<double> values;
-  Matrix vectors;  ///< orthonormal columns
-};
-[[nodiscard]] SymEig sym_eig(const Matrix& a);
-
-/// Smallest eigenvalue of a symmetric matrix.
-[[nodiscard]] double min_sym_eigenvalue(const Matrix& a);
-
 /// Coefficients c of the monic polynomial with the given roots:
 /// p(s) = s^n + c[0] s^{n-1} + ... + c[n-1]. Imaginary parts of the
 /// expanded coefficients must cancel (roots in conjugate pairs); enforced to

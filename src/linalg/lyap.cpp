@@ -1,7 +1,10 @@
 #include "linalg/lyap.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "linalg/eig.h"
 #include "linalg/solve.h"
@@ -55,20 +58,35 @@ bool certifies_decrease(const Matrix& a, const Matrix& p, double tol) {
 
 namespace {
 
-/// Dimension cap of the allocation-free subgradient phase below; larger
-/// problems use the Matrix-based loop. The paper's augmented closed loops
-/// are at most 4x4.
-constexpr Index kFlatN = 6;
+/// Largest system whose subgradient scratch lives on the stack. The
+/// paper's augmented closed loops are 2x2 to 4x4.
+constexpr Index kStackN = 6;
 
-/// Jacobi eigensolver on flat storage, arithmetically identical to
-/// sym_eig() (same sweep limit, thresholds, rotation order and term
-/// order) so the subgradient iterates below match the Matrix path bit
-/// for bit.
-void flat_sym_eig(const double (&f)[kFlatN][kFlatN], Index n,
-                  double (&values)[kFlatN], double (&vectors)[kFlatN][kFlatN]) {
-  double m[kFlatN][kFlatN];
-  for (Index r = 0; r < n; ++r)
-    for (Index c = 0; c < n; ++c) m[r][c] = f[r][c];
+/// Scratch storage the subgradient phase below is written against, one
+/// instantiation per shape (the PackedShape/HeapShape idiom of
+/// verify/discrete.cpp): arrays with the compile-time row stride Cap on
+/// the stack for n <= Cap, heap storage above. Both index as m[r][c] and
+/// v[i], so every n runs the same arithmetic.
+template <Index Cap>
+struct StackScratch {
+  using Vec = std::array<double, Cap>;
+  using Mat = std::array<Vec, Cap>;
+  static Vec vec(Index /*n*/) { return {}; }
+  static Mat mat(Index /*n*/) { return {}; }
+};
+
+struct HeapScratch {
+  using Vec = std::vector<double>;
+  using Mat = std::vector<Vec>;
+  static Vec vec(Index n) { return Vec(static_cast<size_t>(n)); }
+  static Mat mat(Index n) { return Mat(static_cast<size_t>(n), vec(n)); }
+};
+
+/// Cyclic Jacobi eigendecomposition of the symmetric n x n block `m`,
+/// which is diagonalized in place: the (unordered) eigenvalues go to
+/// `values`, the orthonormal eigenvectors to the columns of `vectors`.
+template <typename Mat, typename Vec>
+void jacobi_eig(Mat& m, Index n, Vec& values, Mat& vectors) {
   for (Index r = 0; r < n; ++r)
     for (Index c = 0; c < n; ++c) vectors[r][c] = (r == c) ? 1.0 : 0.0;
   for (int sweep = 0; sweep < 128; ++sweep) {
@@ -111,17 +129,25 @@ void flat_sym_eig(const double (&f)[kFlatN][kFlatN], Index n,
   for (Index i = 0; i < n; ++i) values[i] = m[i][i];
 }
 
-/// The subgradient feasibility phase of find_common_lyapunov on flat
-/// storage: every arithmetic step mirrors the Matrix operator chain of the
-/// reference loop (documented there), so `best` is the exact same iterate
-/// — only the per-iteration heap traffic is gone. Returns the best iterate
-/// found within the budget.
-Matrix flat_subgradient_phase(const Matrix& a1m, const Matrix& a2m,
-                              const Matrix& p0, double eps) {
+/// Subgradient feasibility phase of find_common_lyapunov. Minimises the
+/// worst constraint violation
+///   f(P) = max_i  eps - lambda_min(F_i(P)),
+///   F_0 = P,  F_1 = P - a1' P a1,  F_2 = P - a2' P a2,
+/// moving P along the eigenvector subgradient of the active constraint.
+/// This finds certificates that sit close to the boundary of the CQLF
+/// cone (the paper's KsE/KT pair is such a case). Deterministic; returns
+/// the best iterate found within a fixed iteration budget. The operation
+/// order (left-associated products that skip exact-zero factors, as
+/// Matrix operator* does) fixes the certificate bits, which linalg_test
+/// pins for both storage shapes.
+template <typename S>
+Matrix subgradient_phase(const Matrix& a1m, const Matrix& a2m,
+                         const Matrix& p0, double eps) {
   const Index n = a1m.rows();
-  TTDIM_EXPECTS(n <= kFlatN);
-  double a1[kFlatN][kFlatN], a2[kFlatN][kFlatN];
-  double p[kFlatN][kFlatN], best[kFlatN][kFlatN];
+  typename S::Mat a1 = S::mat(n), a2 = S::mat(n), p = S::mat(n),
+                  best = S::mat(n), grad = S::mat(n), f = S::mat(n),
+                  t1 = S::mat(n), vectors = S::mat(n);
+  typename S::Vec values = S::vec(n), v = S::vec(n), av = S::vec(n);
   for (Index r = 0; r < n; ++r)
     for (Index c = 0; c < n; ++c) {
       a1[r][c] = a1m(r, c);
@@ -130,23 +156,19 @@ Matrix flat_subgradient_phase(const Matrix& a1m, const Matrix& a2m,
       best[r][c] = p0(r, c);
     }
   double best_violation = 1e18;
-  double grad[kFlatN][kFlatN] = {};
   for (int it = 0; it < 40000; ++it) {
     double worst = -1e18;
     for (int m = 0; m < 3; ++m) {
-      // f = p (m == 0) or p - a' p a, symmetrized. The products replicate
-      // Matrix operator*'s left association and exact-zero-entry skip.
-      double f[kFlatN][kFlatN];
+      // f = p (m == 0) or p - a' p a, symmetrized.
       if (m == 0) {
         for (Index r = 0; r < n; ++r)
           for (Index c = 0; c < n; ++c) f[r][c] = p[r][c];
       } else {
         const auto& a = (m == 1) ? a1 : a2;
-        double t1[kFlatN][kFlatN];  // a' * p
-        for (Index r = 0; r < n; ++r) {
+        for (Index r = 0; r < n; ++r) {  // t1 = a' * p
           for (Index c = 0; c < n; ++c) t1[r][c] = 0.0;
           for (Index k = 0; k < n; ++k) {
-            const double x = a[k][r];  // at(r, k)
+            const double x = a[k][r];  // a'(r, k)
             if (x == 0.0) continue;
             for (Index c = 0; c < n; ++c) t1[r][c] += x * p[k][c];
           }
@@ -167,24 +189,21 @@ Matrix flat_subgradient_phase(const Matrix& a1m, const Matrix& a2m,
           f[r][c] = avg;
           f[c][r] = avg;
         }
-      double values[kFlatN] = {};
-      double vectors[kFlatN][kFlatN] = {};
-      flat_sym_eig(f, n, values, vectors);
+      jacobi_eig(f, n, values, vectors);
       Index mi = 0;
       for (Index i = 1; i < n; ++i)
         if (values[i] < values[mi]) mi = i;
       const double violation = eps - values[mi];
       if (violation > worst) {
         worst = violation;
-        double v[kFlatN];
         for (Index k = 0; k < n; ++k) v[k] = vectors[k][mi];
-        // grad = v v'  (rows with v(r) == 0 stay zero, as in operator*).
+        // grad = v v' (- (a v)(a v)' for m > 0); rows whose factor is
+        // exactly zero stay zero, as in operator*.
         for (Index r = 0; r < n; ++r)
           for (Index c = 0; c < n; ++c)
             grad[r][c] = (v[r] == 0.0) ? 0.0 : 0.0 + v[r] * v[c];
         if (m > 0) {
           const auto& a = (m == 1) ? a1 : a2;
-          double av[kFlatN];
           for (Index r = 0; r < n; ++r) {
             av[r] = 0.0;
             for (Index k = 0; k < n; ++k) {
@@ -273,68 +292,14 @@ CommonLyapunov find_common_lyapunov(const Matrix& a1, const Matrix& a2) {
       return {true, cand};
   }
 
-  // Subgradient feasibility phase. Minimise the worst constraint violation
-  //   f(P) = max_i  eps - lambda_min(F_i(P)),
-  //   F_0 = P,  F_1 = P - a1' P a1,  F_2 = P - a2' P a2,
-  // moving P along the eigenvector subgradient of the active constraint.
-  // This finds certificates that sit close to the boundary of the CQLF
-  // cone (the paper's KsE/KT pair is such a case). Deterministic; bails
-  // out after a fixed iteration budget.
+  // No candidate certifies: refine the second mode's Lyapunov solution by
+  // subgradient descent on the constraint violation.
   const double eps = 1e-4;
   Matrix p = dlyap(a2, q);
   p /= p.max_abs();
-  if (n <= kFlatN) {
-    // Allocation-free replica of the loop below (flat_subgradient_phase is
-    // arithmetically identical); the reference Matrix loop remains for
-    // larger systems and as executable documentation.
-    const Matrix best_flat = flat_subgradient_phase(a1, a2, p, eps);
-    if (is_positive_definite(best_flat) && certifies_decrease(a1, best_flat) &&
-        certifies_decrease(a2, best_flat))
-      return {true, best_flat};
-    return {};
-  }
-  Matrix best = p;
-  double best_violation = 1e18;
-  for (int it = 0; it < 40000; ++it) {
-    double worst = -1e18;
-    Matrix grad(n, n);
-    for (int m = 0; m < 3; ++m) {
-      Matrix f = p;
-      if (m > 0) {
-        const Matrix& a = (m == 1) ? a1 : a2;
-        f = p - a.transpose() * p * a;
-      }
-      f.symmetrize();
-      const SymEig e = sym_eig(f);
-      Index mi = 0;
-      for (Index i = 1; i < n; ++i)
-        if (e.values[static_cast<size_t>(i)] <
-            e.values[static_cast<size_t>(mi)])
-          mi = i;
-      const double violation = eps - e.values[static_cast<size_t>(mi)];
-      if (violation > worst) {
-        worst = violation;
-        const Matrix v = e.vectors.col_at(mi);
-        if (m == 0) {
-          grad = v * v.transpose();
-        } else {
-          const Matrix& a = (m == 1) ? a1 : a2;
-          const Matrix av = a * v;
-          grad = v * v.transpose() - av * av.transpose();
-        }
-      }
-    }
-    if (worst < best_violation) {
-      best_violation = worst;
-      best = p;
-    }
-    if (worst <= 0.0) break;
-    const double g2 = grad.norm() * grad.norm();
-    p += grad * (0.5 * worst / std::max(1.0, g2));
-    p.symmetrize();
-    const double scale = p.max_abs();
-    if (scale > 0.0) p /= scale;
-  }
+  const Matrix best =
+      n <= kStackN ? subgradient_phase<StackScratch<kStackN>>(a1, a2, p, eps)
+                   : subgradient_phase<HeapScratch>(a1, a2, p, eps);
   if (is_positive_definite(best) && certifies_decrease(a1, best) &&
       certifies_decrease(a2, best))
     return {true, best};

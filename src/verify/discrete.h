@@ -56,8 +56,8 @@ struct SlotVerdict {
   int violator = -1;
 };
 
-/// Full structural equality — used by the memoized oracle layer's tests to
-/// assert that a cached verdict is indistinguishable from a fresh one.
+/// Full structural equality — used by the oracle tests to assert that a
+/// cached verdict is indistinguishable from a fresh one.
 [[nodiscard]] inline bool operator==(const SlotVerdict& a,
                                      const SlotVerdict& b) {
   return a.safe == b.safe && a.states_explored == b.states_explored &&

@@ -3,9 +3,10 @@
 // byte-budgeted LRU eviction, concurrent access, and the property the
 // whole layer rests on — cached analysis results being bit-identical to
 // freshly computed ones, from single apps up to whole solve
-// fingerprints (cache on/off, serial and parallel).
+// fingerprints (serial and parallel).
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -260,35 +261,51 @@ std::vector<core::AppSpec> three_app_system() {
   return {spec_of(app, 60), spec_of(app, 80), spec_of(app, 100)};
 }
 
-TEST(AnalysisSolve, CacheOnOffSerialParallelFingerprintIdentically) {
-  // The acceptance property: byte-identical fingerprints with
-  // memoize_analysis on and off, serial and parallel (the parallel runs
-  // also exercise the executor-backed analysis fan-out).
+TEST(AnalysisSolve, SerialAndParallelFingerprintIdentically) {
+  // The acceptance property: byte-identical fingerprints serial and
+  // parallel (the parallel run also exercises the executor-backed
+  // analysis fan-out). Cache-versus-fresh bit identity is pinned at the
+  // analyze_app level (AppAnalysis.CachedResultBitIdenticalToFresh).
   const std::vector<core::AppSpec> specs = three_app_system();
-  core::SolveOptions on;          // private analysis cache (default)
-  core::SolveOptions off;
-  off.memoize_analysis = false;
-  core::SolveOptions on_parallel = on;
-  on_parallel.analysis_threads = 4;
-  core::SolveOptions off_parallel = off;
-  off_parallel.analysis_threads = 4;
+  core::SolveOptions serial;  // private analysis cache
+  core::SolveOptions parallel = serial;
+  parallel.analysis_threads = 4;
 
-  const core::Solution a = core::solve(specs, on);
-  const core::Solution b = core::solve(specs, off);
-  const core::Solution c = core::solve(specs, on_parallel);
-  const core::Solution d = core::solve(specs, off_parallel);
-  const std::string print = fingerprint(a);
-  EXPECT_EQ(print, fingerprint(b));
-  EXPECT_EQ(print, fingerprint(c));
-  EXPECT_EQ(print, fingerprint(d));
+  const core::Solution a = core::solve(specs, serial);
+  const core::Solution b = core::solve(specs, parallel);
+  EXPECT_EQ(fingerprint(a), fingerprint(b));
 
   // Within one solve the three same-plant apps share one entry: the
   // first analysis misses, the other two hit even with a private cache.
   EXPECT_EQ(a.stats.analysis_misses, 1);
   EXPECT_EQ(a.stats.analysis_hits, 2);
-  // The disabled runs computed every app fresh.
-  EXPECT_EQ(b.stats.analysis_hits, 0);
-  EXPECT_EQ(b.stats.analysis_misses, 3);
+}
+
+TEST(AnalysisSolve, FirstFailingAppInInputOrderThrowsAtEveryThreadCount) {
+  // Apps 1 and 3 are unmeetable for different reasons; whatever the
+  // thread budget, the solve reports app 1's — serial runs fail fast,
+  // concurrent ones rethrow the lowest-index failure.
+  std::vector<core::AppSpec> specs = three_app_system();
+  specs.push_back(spec_of(casestudy::c6(), 120));
+  specs[1].settling_requirement = 0;
+  specs[3].settling_requirement = 1;
+  const auto error_of = [](const std::vector<core::AppSpec>& population,
+                           int threads) -> std::string {
+    core::SolveOptions options;
+    options.analysis_threads = threads;
+    try {
+      static_cast<void>(core::solve(population, options));
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  ASSERT_NE(error_of({specs[3]}, 1).find("J* < JT"), std::string::npos);
+  for (int threads : {1, 4}) {
+    const std::string error = error_of(specs, threads);
+    EXPECT_NE(error.find("J* must be positive"), std::string::npos)
+        << threads << " threads: " << error;
+  }
 }
 
 TEST(AnalysisSolve, SharedCacheSkipsTheAnalysisPhaseAcrossSolves) {

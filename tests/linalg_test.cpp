@@ -1,9 +1,14 @@
 // Unit and property tests for the linalg substrate.
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <random>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "casestudy/apps.h"
+#include "control/lti.h"
 #include "gtest/gtest.h"
 #include "linalg/eig.h"
 #include "linalg/lyap.h"
@@ -366,6 +371,84 @@ TEST(Lyap, CommonLyapunovRejectsUnstableMember) {
   const Matrix a1{{0.5, 0.0}, {0.0, 0.2}};
   const Matrix a2{{1.2, 0.0}, {0.0, 0.5}};
   EXPECT_FALSE(find_common_lyapunov(a1, a2).found);
+}
+
+// The certificates below are pinned bit for bit: the subgradient phase is
+// one template over stack (n <= 6) and heap (n > 6) scratch storage, and
+// neither shape may move a certificate.
+
+/// FNV-1a digest, so the long n = 7, 8 certificates fit on one line.
+std::uint64_t digest(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(Lyap, TableOneCertificatesAreBitExact) {
+  const std::vector<casestudy::App> apps = casestudy::all_apps();
+  ASSERT_EQ(apps.size(), 6u);
+  const std::string none = "cqlf=0:0x0:;";
+  const std::string expected[6] = {
+      "cqlf=1:4x4:"
+      "3ff00000000000003fa87a68c5d33e0b3fa66f833fe2bef63f8e07e3aca4f86c"
+      "3fa87a68c5d33e0b3f653f9e64d3a6973f638da3c7026c133f48dee42cb8ab8d"
+      "3fa66f833fe2bef63f638da3c7026c133f6493242ae131be3f4b0e4c4a216312"
+      "3f8e07e3aca4f86c3f48dee42cb8ab8d3f4b0e4c4a2163123f4385a7b88a67ee;",
+      none,
+      none,
+      none,
+      "cqlf=1:3x3:"
+      "3ff0000000000000bf91527afe9192ae3f6f28d2668b7fb8"
+      "bf91527afe9192ae3f7432621b9652853f400c7331272547"
+      "3f6f28d2668b7fb83f400c73312725473f4a95a7fca2214d;",
+      none};
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    const control::SwitchedModes modes =
+        control::switched_modes(apps[i].plant, apps[i].kt, apps[i].ke);
+    std::string bytes;
+    append_canonical(bytes, find_common_lyapunov(modes.a_tt, modes.a_et));
+    EXPECT_EQ(bytes, expected[i]) << apps[i].name;
+  }
+}
+
+/// `a` block-diagonally padded to `to` x `to` with the decoupled stable
+/// block diag(0.5, 0.45, 0.4, ...).
+Matrix pad_with_stable_block(const Matrix& a, Index to) {
+  Matrix out(to, to);
+  out.set_block(0, 0, a);
+  for (Index i = a.rows(); i < to; ++i)
+    out(i, i) = 0.5 - 0.05 * static_cast<double>(i - a.rows());
+  return out;
+}
+
+TEST(Lyap, HeapScratchCertificatesAreBitExact) {
+  // C1 (4x4) and C5 (3x3) need the subgradient phase; padded to n = 7
+  // and 8 they run it on heap scratch storage.
+  const struct {
+    casestudy::App app;
+    Index n;
+    std::uint64_t digest;
+  } cases[] = {{casestudy::c1(), 7, 0xb0b1dfa0e52af2d6ull},
+               {casestudy::c1(), 8, 0xe94c9b9c09701e02ull},
+               {casestudy::c5(), 7, 0x3b694123bb4db2b7ull},
+               {casestudy::c5(), 8, 0x67097ef4ec5f1a5dull}};
+  for (const auto& c : cases) {
+    const control::SwitchedModes modes =
+        control::switched_modes(c.app.plant, c.app.kt, c.app.ke);
+    const Matrix a1 = pad_with_stable_block(modes.a_tt, c.n);
+    const Matrix a2 = pad_with_stable_block(modes.a_et, c.n);
+    const CommonLyapunov res = find_common_lyapunov(a1, a2);
+    ASSERT_TRUE(res.found) << c.app.name << " n=" << c.n;
+    EXPECT_TRUE(is_positive_definite(res.p));
+    EXPECT_TRUE(certifies_decrease(a1, res.p));
+    EXPECT_TRUE(certifies_decrease(a2, res.p));
+    std::string bytes;
+    append_canonical(bytes, res);
+    EXPECT_EQ(digest(bytes), c.digest) << c.app.name << " n=" << c.n;
+  }
 }
 
 class LyapProperty : public ::testing::TestWithParam<unsigned> {};

@@ -87,13 +87,17 @@ TEST_F(WarmStartTest, SolutionCacheShortCircuitsTheWholePipeline) {
   const std::string fp =
       engine::fingerprint(core::solve(specs_, base_options()));
 
+  // A thread budget leaves the result alone, and every pass (cold or
+  // served from either cache tier) reports the resolved budget.
   core::SolveOptions store = base_options();
+  store.proof_threads = 2;
   store.disk_cache = std::make_shared<engine::cache::DiskCache>(dir_);
   store.solution_cache = std::make_shared<engine::cache::SolutionCache>();
   const core::Solution first = core::solve(specs_, store);
   EXPECT_EQ(engine::fingerprint(first), fp);
   EXPECT_EQ(first.stats.solution_hits, 0);
   EXPECT_EQ(first.stats.solution_misses, 1);
+  EXPECT_EQ(first.stats.proof_threads, 2);
 
   // Memory hit: same SolutionCache, second solve of the same specs.
   const core::Solution memory_hit = core::solve(specs_, store);
@@ -101,10 +105,12 @@ TEST_F(WarmStartTest, SolutionCacheShortCircuitsTheWholePipeline) {
   EXPECT_EQ(memory_hit.stats.solution_hits, 1);
   EXPECT_EQ(memory_hit.stats.oracle_calls, 0);
   EXPECT_EQ(memory_hit.stats.analysis_hits, 0);
+  EXPECT_EQ(memory_hit.stats.proof_threads, 2);
 
   // Disk hit: fresh memory SolutionCache, fresh DiskCache handle — only
   // the directory carries the result across, and no pipeline phase runs.
   core::SolveOptions restart = base_options();
+  restart.proof_threads = 2;
   restart.disk_cache = std::make_shared<engine::cache::DiskCache>(dir_);
   restart.solution_cache = std::make_shared<engine::cache::SolutionCache>();
   const core::Solution disk_hit = core::solve(specs_, restart);
@@ -114,6 +120,7 @@ TEST_F(WarmStartTest, SolutionCacheShortCircuitsTheWholePipeline) {
   EXPECT_EQ(disk_hit.stats.analysis_hits, 0);
   EXPECT_EQ(disk_hit.stats.analysis_misses, 0);
   EXPECT_GT(disk_hit.stats.disk_hits, 0);
+  EXPECT_EQ(disk_hit.stats.proof_threads, 2);
 }
 
 TEST_F(WarmStartTest, CorruptionDegradesToColdMissNeverFailure) {
@@ -190,7 +197,6 @@ TEST_F(WarmStartTest, SolveKeyCoversResultAffectingInputsOnly) {
     o.memoize_admission = false;
     o.incremental_admission = false;
     o.subsumption_admission = false;
-    o.memoize_analysis = false;
     o.analysis_threads = 0;
     o.disk_cache = std::make_shared<engine::cache::DiskCache>(dir_);
     EXPECT_EQ(core::SolveKey::of(specs_, o), reference);
