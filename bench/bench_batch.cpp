@@ -193,7 +193,7 @@ void BM_BatchSolve(benchmark::State& state) {
       make_batch(static_cast<int>(state.range(1)));
   const engine::BatchRunner runner(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(runner.solve_all(jobs));
+    benchmark::DoNotOptimize(runner.run(jobs).outcomes);
   }
 }
 BENCHMARK(BM_BatchSolve)

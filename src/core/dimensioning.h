@@ -31,7 +31,6 @@ class AnalysisCache;
 
 namespace ttdim::engine::cache {
 class DiskCache;
-class SolutionCache;
 }  // namespace ttdim::engine::cache
 
 namespace ttdim::core {
@@ -110,21 +109,15 @@ struct SolveOptions {
   /// to the Executor-parallel BFS driver; prefix-seeded extensions and
   /// witness/depth-first diagnostics stay serial (their discovery order
   /// is part of their contract). Results are independent of this value
-  /// — like analysis_threads it is excluded from SolveKey, so warm and
-  /// cold thread configurations share solve-result cache entries.
+  /// — like analysis_threads it is excluded from SolveKey.
   int proof_threads = 1;
   /// Persistent second tier under the memory caches
-  /// (engine/cache/disk_cache.h): analysis results, admission verdicts
-  /// and whole-solve results survive the process, so a restarted daemon
-  /// or a CI run restoring the directory starts warm. nullptr (default)
-  /// disables the tier; the dimensioning result is byte-identical either
-  /// way. The verdict space is consulted only with memoize_admission on.
+  /// (engine/cache/disk_cache.h): analysis results and admission
+  /// verdicts survive the process, so a restarted daemon or a CI run
+  /// restoring the directory starts warm. nullptr (default) disables the
+  /// tier; the dimensioning result is byte-identical either way. The
+  /// verdict space is consulted only with memoize_admission on.
   std::shared_ptr<engine::cache::DiskCache> disk_cache;
-  /// Whole-solve result cache keyed by SolveKey (the full canonical
-  /// input): a hit returns the complete Solution without running any
-  /// pipeline phase. Layered over disk_cache's "solution" space when
-  /// both are set. nullptr (default) disables the tier.
-  std::shared_ptr<engine::cache::SolutionCache> solution_cache;
 
   SolveOptions() {}
 };
@@ -151,15 +144,13 @@ struct Solution {
   [[nodiscard]] double saving_vs_baseline() const;
 };
 
-/// Content-addressed identity of a whole solve: the canonical
-/// serialization of every AppSpec (in input order — the pipeline is
-/// order-sensitive) plus the result-affecting SolveOptions fields
-/// (settling, granularity, disturbance bound, stability requirement,
-/// policy). Cache/thread toggles are excluded: they never change the
-/// result (pinned by the fingerprint-equality tests), so warm and cold
-/// configurations share solve-result cache entries. This is the
-/// AppAnalysisKey idiom extended to complete specs — the key of the
-/// whole-solve SolutionCache and of the disk tier's "solution" space.
+/// Canonical identity of a solve's inputs: the canonical serialization
+/// of every AppSpec (in input order — the pipeline is order-sensitive)
+/// plus the result-affecting SolveOptions fields (settling, granularity,
+/// disturbance bound, stability requirement, policy). Cache/thread
+/// toggles are excluded: they never change the result (pinned by the
+/// fingerprint-equality tests). This is the AppAnalysisKey idiom
+/// extended to complete specs.
 struct SolveKey {
   std::string canonical;
   std::uint64_t hash = 0;
@@ -175,14 +166,8 @@ struct SolveKey {
   }
 };
 
-struct SolveKeyHash {
-  [[nodiscard]] std::size_t operator()(const SolveKey& key) const noexcept {
-    return static_cast<std::size_t>(key.hash);
-  }
-};
-
-/// Round-trip binary codec for disk-cached solutions: apps (specs, dwell
-/// tables, timings, stability verdicts) and all three assignments.
+/// Round-trip binary codec for solutions: apps (specs, dwell tables,
+/// timings, stability verdicts) and all three assignments.
 /// SolveStats is measurement, not result — it is excluded from the
 /// encoding (like engine::fingerprint), and a decoded Solution carries
 /// default stats for the caller to fill. decode_solution returns false

@@ -9,7 +9,6 @@
 #include "engine/analysis/analysis_cache.h"
 #include "engine/analysis/app_analysis.h"
 #include "engine/cache/disk_cache.h"
-#include "engine/cache/solution_cache.h"
 #include "engine/oracle/incremental_oracle.h"
 #include "engine/oracle/snapshot_cache.h"
 #include "engine/oracle/verdict_cache.h"
@@ -21,10 +20,9 @@ namespace ttdim::core {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using engine::oracle::IncrementalAdmissionOracle;
 using engine::oracle::ms_since;
 using engine::oracle::SolveStats;
-
-constexpr const char* kSolutionDiskSpace = "solution";
 
 /// A nullptr cache field gets a private session-lifetime cache (the
 /// admission tiers only when their flag is on) — the per-call private
@@ -40,6 +38,39 @@ SolveOptions materialize_caches(SolveOptions options) {
     options.snapshot_cache =
         std::make_shared<engine::oracle::SnapshotCache>();
   return options;
+}
+
+/// The admission oracle of one pass over the session's caches. Both
+/// admission caches disabled degrades to the reference one-fresh-proof-
+/// per-probe behaviour, so a single oracle covers the whole option
+/// matrix. Its counters start at zero, so they are the pass's own.
+IncrementalAdmissionOracle make_oracle(const SolveOptions& options,
+                                       int proof_threads) {
+  verify::DiscreteVerifier::Options vopt;
+  vopt.max_disturbances_per_app = options.max_disturbances_per_app;
+  vopt.policy = options.policy;
+  vopt.proof_threads = proof_threads;
+  return IncrementalAdmissionOracle(
+      vopt, options.memoize_admission ? options.verdict_cache : nullptr,
+      options.incremental_admission ? options.snapshot_cache : nullptr,
+      options.subsumption_admission, options.disk_cache);
+}
+
+/// Oracle accounting: add one pass's oracle counters to its stats, once,
+/// at the end of the pass.
+void stamp_oracle(const IncrementalAdmissionOracle& oracle,
+                  SolveStats& stats) {
+  stats.oracle_calls += oracle.calls();
+  stats.cache_hits += oracle.exact_hits();
+  stats.subsumption_hits += oracle.subsumption_hits();
+  stats.subsumption_cuts += oracle.subsumption_cuts();
+  stats.cache_misses += oracle.misses();
+  stats.verifier_states += oracle.states_explored();
+  stats.prefix_hits += oracle.prefix_hits();
+  stats.states_reused += oracle.states_reused();
+  stats.states_extended += oracle.states_extended();
+  stats.parallel_proofs += oracle.parallel_proofs();
+  stats.proof_threads = oracle.options().proof_threads;
 }
 
 /// Disk-tier accounting: SolveStats reports the delta of the shared
@@ -93,55 +124,30 @@ std::vector<verify::AppTiming> timings_of(const Solution& solution) {
   return timings;
 }
 
+/// First-fit `idx` into the existing slots (new dedicated slot when none
+/// admits), bumping the redimension refit/new-slot counters.
+void place_app(Solution& solution, int idx,
+               const IncrementalAdmissionOracle& oracle, SolveStats& stats) {
+  const std::vector<verify::AppTiming> timings = timings_of(solution);
+  const int slot = mapping::first_fit_placement(timings, solution.proposed,
+                                                idx, oracle.slot_oracle());
+  if (slot >= 0) {
+    solution.proposed.slots[static_cast<size_t>(slot)].push_back(idx);
+    ++stats.redimension_refits;
+  } else {
+    // A new dedicated slot must always admit a single application
+    // (mirrors the first-fit walk's invariant).
+    TTDIM_CHECK(oracle.admit({timings[static_cast<size_t>(idx)]}));
+    solution.proposed.slots.push_back({idx});
+    ++stats.redimension_new_slots;
+  }
+}
+
 }  // namespace
 
 DimensioningSession::DimensioningSession(SolveOptions options)
     : options_(materialize_caches(std::move(options))),
-      proof_threads_(engine::resolve_threads(options_.proof_threads)) {
-  verify::DiscreteVerifier::Options vopt;
-  vopt.max_disturbances_per_app = options_.max_disturbances_per_app;
-  vopt.policy = options_.policy;
-  vopt.proof_threads = proof_threads_;
-  // Both caches disabled degrades to the reference one-fresh-proof-per-
-  // probe behaviour, so a single oracle covers the whole option matrix.
-  oracle_ = std::make_unique<engine::oracle::IncrementalAdmissionOracle>(
-      vopt, options_.memoize_admission ? options_.verdict_cache : nullptr,
-      options_.incremental_admission ? options_.snapshot_cache : nullptr,
-      options_.subsumption_admission, options_.disk_cache);
-}
-
-DimensioningSession::~DimensioningSession() = default;
-
-DimensioningSession::OracleCounters DimensioningSession::counters() const {
-  OracleCounters c;
-  c.calls = oracle_->calls();
-  c.exact_hits = oracle_->exact_hits();
-  c.subsumption_hits = oracle_->subsumption_hits();
-  c.subsumption_cuts = oracle_->subsumption_cuts();
-  c.misses = oracle_->misses();
-  c.states = oracle_->states_explored();
-  c.prefix_hits = oracle_->prefix_hits();
-  c.states_reused = oracle_->states_reused();
-  c.states_extended = oracle_->states_extended();
-  c.parallel_proofs = oracle_->parallel_proofs();
-  return c;
-}
-
-void DimensioningSession::stamp_oracle(SolveStats& stats,
-                                       const OracleCounters& before) const {
-  const OracleCounters now = counters();
-  stats.oracle_calls += now.calls - before.calls;
-  stats.cache_hits += now.exact_hits - before.exact_hits;
-  stats.subsumption_hits += now.subsumption_hits - before.subsumption_hits;
-  stats.subsumption_cuts += now.subsumption_cuts - before.subsumption_cuts;
-  stats.cache_misses += now.misses - before.misses;
-  stats.verifier_states += now.states - before.states;
-  stats.prefix_hits += now.prefix_hits - before.prefix_hits;
-  stats.states_reused += now.states_reused - before.states_reused;
-  stats.states_extended += now.states_extended - before.states_extended;
-  stats.parallel_proofs += now.parallel_proofs - before.parallel_proofs;
-  stats.proof_threads = proof_threads_;
-}
+      proof_threads_(engine::resolve_threads(options_.proof_threads)) {}
 
 // ---- Stage 1: per-application analysis (engine/analysis). ----------------
 // Stability certificates and dwell tables are pure functions of the
@@ -214,16 +220,17 @@ std::vector<AppSolution> DimensioningSession::stage_analysis(
 }
 
 // ---- Stage 2: proposed mapping — first-fit + model checking, routed
-// through the session's admission oracle (engine/oracle). -----------------
+// through the pass's admission oracle (engine/oracle). --------------------
 mapping::SlotAssignment DimensioningSession::stage_mapping(
     const std::vector<verify::AppTiming>& timings,
     const std::vector<int>& order, SolveStats& stats) const {
-  const OracleCounters before = counters();
+  const IncrementalAdmissionOracle oracle =
+      make_oracle(options_, proof_threads_);
   const auto t_mapping = Clock::now();
   mapping::SlotAssignment proposed =
-      mapping::first_fit(timings, order, oracle_->slot_oracle());
+      mapping::first_fit(timings, order, oracle.slot_oracle());
   stats.mapping_ms += ms_since(t_mapping);
-  stamp_oracle(stats, before);
+  stamp_oracle(oracle, stats);
   return proposed;
 }
 
@@ -270,47 +277,6 @@ Solution DimensioningSession::solve(const std::vector<AppSpec>& specs) {
   engine::cache::DiskCacheStats disk_before;
   if (disk != nullptr) disk_before = disk->stats();
 
-  // ---- Whole-solve result cache (engine/cache/solution_cache.h). ---------
-  // A hit short-circuits the entire pipeline; the returned Solution is
-  // the stored one with fresh per-request stats. The disk "solution"
-  // space sits under the memory cache, so a fresh process answers repeat
-  // requests on the first call.
-  std::optional<SolveKey> solve_key;
-  if (options_.solution_cache != nullptr) {
-    solve_key = SolveKey::of(specs, options_);
-    const auto serve_hit = [&](Solution out) {
-      out.stats = {};
-      out.stats.solution_hits = 1;
-      out.stats.analysis_threads =
-          engine::resolve_threads(options_.analysis_threads);
-      out.stats.proof_threads = proof_threads_;
-      stamp_disk(disk, disk_before, out.stats);
-      out.stats.total_ms = ms_since(t_solve);
-      return out;
-    };
-    if (auto cached = options_.solution_cache->lookup(*solve_key)) {
-      Solution out = serve_hit(*std::move(cached));
-      solution_ = out;
-      return out;
-    }
-    if (disk != nullptr) {
-      if (const auto blob =
-              disk->get(kSolutionDiskSpace, solve_key->canonical)) {
-        support::codec::Decoder dec(*blob);
-        Solution stored;
-        if (decode_solution(dec, stored) && dec.done()) {
-          options_.solution_cache->insert(*solve_key, stored);
-          Solution out = serve_hit(std::move(stored));
-          solution_ = out;
-          return out;
-        }
-        // Undecodable payload in a structurally valid entry (e.g. a
-        // codec change without a format bump): fall through to a cold
-        // solve; the entry ages out via the trim.
-      }
-    }
-  }
-
   Solution solution;
   solution.apps = stage_analysis(specs, solution.stats);
   const std::vector<verify::AppTiming> timings = timings_of(solution);
@@ -318,20 +284,7 @@ Solution DimensioningSession::solve(const std::vector<AppSpec>& specs) {
   solution.proposed = stage_mapping(timings, order, solution.stats);
   stage_baselines(solution, timings, order, solution.stats);
 
-  // ---- Stage 4: assembly — publish to the whole-solve result cache. ------
-  if (solve_key) {
-    solution.stats.solution_misses = 1;
-    Solution stored = solution;
-    stored.stats = {};  // stats are per-request measurement, not result
-    if (disk != nullptr) {
-      std::string encoded;
-      support::codec::Encoder enc(encoded);
-      encode_solution(enc, stored);
-      disk->put(kSolutionDiskSpace, solve_key->canonical, encoded);
-    }
-    options_.solution_cache->insert(*solve_key, std::move(stored));
-  }
-
+  // ---- Stage 4: assembly. -------------------------------------------------
   stamp_disk(disk, disk_before, solution.stats);
   solution.stats.total_ms = ms_since(t_solve);
   solution_ = solution;
@@ -378,23 +331,6 @@ void DimensioningSession::validate_delta_locked(const Delta& delta) const {
         "redimension: delta would empty the population");
 }
 
-void DimensioningSession::place_app(Solution& solution, int idx,
-                                    SolveStats& stats) const {
-  const std::vector<verify::AppTiming> timings = timings_of(solution);
-  const int slot = mapping::first_fit_placement(timings, solution.proposed,
-                                                idx, oracle_->slot_oracle());
-  if (slot >= 0) {
-    solution.proposed.slots[static_cast<size_t>(slot)].push_back(idx);
-    ++stats.redimension_refits;
-  } else {
-    // A new dedicated slot must always admit a single application
-    // (mirrors the first-fit walk's invariant).
-    TTDIM_CHECK(oracle_->admit({timings[static_cast<size_t>(idx)]}));
-    solution.proposed.slots.push_back({idx});
-    ++stats.redimension_new_slots;
-  }
-}
-
 Solution DimensioningSession::redimension(const Delta& delta) {
   support::MutexLock lock(mutex_);
   if (!solution_.has_value())
@@ -434,7 +370,8 @@ Solution DimensioningSession::redimension(const Delta& delta) {
 
   Solution next = *solution_;
   next.stats = {};
-  const OracleCounters oracle_before = counters();
+  const IncrementalAdmissionOracle oracle =
+      make_oracle(options_, proof_threads_);
   const auto t_mapping = Clock::now();
 
   // Removals first: proof-free by antitone admission, and they free the
@@ -461,7 +398,7 @@ Solution DimensioningSession::redimension(const Delta& delta) {
       probe.push_back(member == idx ? app.timing
                                     : next.apps[static_cast<size_t>(member)]
                                           .timing);
-    if (oracle_->admit(probe)) {
+    if (oracle.admit(probe)) {
       next.apps[static_cast<size_t>(idx)] = std::move(app);
       ++stats.redimension_refits;
     } else {
@@ -473,7 +410,7 @@ Solution DimensioningSession::redimension(const Delta& delta) {
       if (current.empty())
         next.proposed.slots.erase(next.proposed.slots.begin() + slot);
       next.apps[static_cast<size_t>(idx)] = std::move(app);
-      place_app(next, idx, stats);
+      place_app(next, idx, oracle, stats);
     }
   }
 
@@ -483,10 +420,10 @@ Solution DimensioningSession::redimension(const Delta& delta) {
   // design.
   for (std::size_t i = 0; i < delta.add.size(); ++i, ++k) {
     next.apps.push_back(std::move(fresh[k]));
-    place_app(next, static_cast<int>(next.apps.size()) - 1, stats);
+    place_app(next, static_cast<int>(next.apps.size()) - 1, oracle, stats);
   }
   stats.mapping_ms += ms_since(t_mapping);
-  stamp_oracle(stats, oracle_before);
+  stamp_oracle(oracle, stats);
 
   // Baselines are closed-form and cheap: recompute them from scratch so
   // the saving-vs-baseline comparison stays meaningful after churn.

@@ -1,8 +1,10 @@
 // Staged dimensioning pipeline with a standing solution: the session
-// owns the caches, the admission oracle and the current Solution, so the
-// heavy serving workload — *re*-dimensioning a live system as apps
-// arrive, leave and get re-rated — reuses everything a cold solve had to
-// build.
+// owns the caches and the current Solution, so the heavy serving
+// workload — *re*-dimensioning a live system as apps arrive, leave and
+// get re-rated — reuses everything a cold solve had to build. Each pass
+// (a solve's mapping stage, one redimension) poses its probes through
+// its own admission oracle over those caches and reports that oracle's
+// counters in its SolveStats.
 //
 // A full pass runs the four explicit stages of core::solve
 //
@@ -32,17 +34,12 @@
 // and the fuzzer's churn differential.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/dimensioning.h"
 #include "support/thread_annotations.h"
-
-namespace ttdim::engine::oracle {
-class IncrementalAdmissionOracle;
-}  // namespace ttdim::engine::oracle
 
 namespace ttdim::core {
 
@@ -70,19 +67,18 @@ struct Delta {
 /// Long-lived dimensioning pipeline. Construction materializes every
 /// cache the options enable (a nullptr cache field gets a private
 /// session-lifetime cache — the admission tiers only when their flag is
-/// on — where solve() used to build a private per-call one) and the
-/// admission oracle; solve() runs one full
-/// staged pass and installs the result as the standing solution;
-/// redimension() edits the standing solution under the same proofs.
+/// on — where solve() used to build a private per-call one); solve()
+/// runs one full staged pass and installs the result as the standing
+/// solution; redimension() edits the standing solution under the same
+/// proofs.
 ///
 /// Thread-safe: the standing state is GUARDED_BY an annotated
 /// support::Mutex (machine-checked by the clang thread-safety lane),
-/// public methods serialize, and the caches/oracle are internally
+/// public methods serialize, and the caches are internally
 /// synchronized — concurrent sessions may share them freely.
 class DimensioningSession {
  public:
   explicit DimensioningSession(SolveOptions options = {});
-  ~DimensioningSession();
 
   DimensioningSession(const DimensioningSession&) = delete;
   DimensioningSession& operator=(const DimensioningSession&) = delete;
@@ -103,10 +99,9 @@ class DimensioningSession {
   /// fresh stats). Throws std::invalid_argument on unknown/duplicate
   /// names, on a delta that empties the population, or on an unmeetable
   /// re-rate/addition requirement — the standing solution is untouched
-  /// on throw. The result is deliberately NOT published to the
-  /// whole-solve SolutionCache: a re-dimensioned assignment is
-  /// history-dependent, generally not what a fresh solve of the same
-  /// population would produce.
+  /// on throw. A re-dimensioned assignment is history-dependent,
+  /// generally not what a fresh solve of the same population would
+  /// produce.
   [[nodiscard]] Solution redimension(const Delta& delta);
 
   [[nodiscard]] bool has_solution() const;
@@ -120,17 +115,6 @@ class DimensioningSession {
   }
 
  private:
-  /// Monotonic per-instance oracle counters, snapshotted before a stage
-  /// so each pass reports its own delta (the analysis_evictions idiom).
-  struct OracleCounters {
-    long calls = 0, exact_hits = 0, subsumption_hits = 0,
-         subsumption_cuts = 0, misses = 0, states = 0, prefix_hits = 0,
-         states_reused = 0, states_extended = 0, parallel_proofs = 0;
-  };
-  [[nodiscard]] OracleCounters counters() const;
-  void stamp_oracle(engine::oracle::SolveStats& stats,
-                    const OracleCounters& before) const;
-
   // ---- Pipeline stages. Stage functions accumulate into `stats` so a
   // redimension pass can run a stage more than once. ----------------------
   [[nodiscard]] std::vector<AppSolution> stage_analysis(
@@ -145,14 +129,9 @@ class DimensioningSession {
                        engine::oracle::SolveStats& stats) const;
 
   void validate_delta_locked(const Delta& delta) const REQUIRES(mutex_);
-  /// First-fit `idx` into the existing slots (new dedicated slot when
-  /// none admits), bumping the redimension refit/new-slot counters.
-  void place_app(Solution& solution, int idx,
-                 engine::oracle::SolveStats& stats) const;
 
   const SolveOptions options_;  ///< caches materialized, immutable
   const int proof_threads_;     ///< resolved once, mirrored into stats
-  std::unique_ptr<engine::oracle::IncrementalAdmissionOracle> oracle_;
 
   mutable support::Mutex mutex_;
   std::optional<Solution> solution_ GUARDED_BY(mutex_);

@@ -12,15 +12,10 @@ std::string BatchReport::summary() const {
 
 BatchRunner::BatchRunner(int threads) : threads_(resolve_threads(threads)) {}
 
-void BatchRunner::for_each_index(int n,
-                                 const std::function<void(int)>& fn) const {
-  parallel_for_index(threads_, n, fn);
-}
-
 BatchReport BatchRunner::run(const std::vector<BatchJob>& jobs) const {
   BatchReport report;
   report.outcomes.resize(jobs.size());
-  for_each_index(static_cast<int>(jobs.size()), [&](int i) {
+  parallel_for_index(threads_, static_cast<int>(jobs.size()), [&](int i) {
     const std::size_t k = static_cast<std::size_t>(i);
     try {
       report.outcomes[k].solution = core::solve(jobs[k].specs, jobs[k].options);
@@ -35,11 +30,6 @@ BatchReport BatchRunner::run(const std::vector<BatchJob>& jobs) const {
       ++report.failed;
   }
   return report;
-}
-
-std::vector<BatchOutcome> BatchRunner::solve_all(
-    const std::vector<BatchJob>& jobs) const {
-  return run(jobs).outcomes;
 }
 
 }  // namespace ttdim::engine

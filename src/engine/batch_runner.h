@@ -16,7 +16,6 @@
 // discipline the clang -Wthread-safety lane checks at compile time.
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -63,19 +62,9 @@ class BatchRunner {
 
   [[nodiscard]] int thread_count() const { return threads_; }
 
-  /// Dimension every job; outcome i corresponds to jobs[i].
-  [[nodiscard]] std::vector<BatchOutcome> solve_all(
-      const std::vector<BatchJob>& jobs) const;
-
-  /// solve_all plus the aggregate report (failed count, summed stats).
+  /// Dimension every job (outcome i corresponds to jobs[i]) and report
+  /// the aggregate (failed count, summed stats).
   [[nodiscard]] BatchReport run(const std::vector<BatchJob>& jobs) const;
-
-  /// The underlying deterministic parallel-for on the shared Executor
-  /// pool: fn(i) for i in [0, n), each index claimed exactly once. fn
-  /// runs concurrently on up to thread_count() threads and must only
-  /// write state owned by index i. The lowest-index exception escaping
-  /// fn is rethrown on the calling thread after all indices ran.
-  void for_each_index(int n, const std::function<void(int)>& fn) const;
 
  private:
   int threads_;

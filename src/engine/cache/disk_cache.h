@@ -1,16 +1,16 @@
 // Content-addressed, size-capped, crash-safe on-disk cache — the
 // persistent second tier under the in-memory LruCache wrappers
-// (AnalysisCache, VerdictCache, the whole-solve SolutionCache), in the
-// dist-clang file_cache idiom: hash-named entry files, write-to-temp +
-// atomic rename-into-place, LRU trimming by mtime.
+// (AnalysisCache, VerdictCache), in the dist-clang file_cache idiom:
+// hash-named entry files, write-to-temp + atomic rename-into-place, LRU
+// trimming by mtime.
 //
 // Keys and values are opaque byte strings: the key is the same canonical
 // serialization the memory tiers already use (AppAnalysisKey::canonical,
-// SlotConfigKey::canonical, SolveKey::canonical) and the value is a
-// support::codec round-trip encoding of the cached result. One entry is
-// one file named `<space>/<fnv1a(key) as 16 hex>.entry`, where `space`
-// is a short namespace string ("analysis", "verdict", "solution") that
-// keeps differently-typed payloads from colliding. The full key is
+// SlotConfigKey::canonical) and the value is a support::codec round-trip
+// encoding of the cached result. One entry is one file named
+// `<space>/<fnv1a(key) as 16 hex>.entry`, where `space` is a short
+// namespace string ("analysis", "verdict") that keeps differently-typed
+// payloads from colliding. The full key is
 // stored inside the entry and compared on read, so a hash collision
 // degrades to a miss, never to a wrong value.
 //

@@ -3,8 +3,7 @@
 // AnalysisCache (byte-budgeted) each hand-rolled this structure —
 // mutex + recency list + key index, splice-on-hit, back-eviction,
 // lock-free atomic counter snapshots — as three diverging copies; this
-// template is the single implementation they now share (and the one the
-// serve-layer whole-solve result cache plugs into).
+// template is the single implementation they now share.
 //
 // Accounting is structural, not re-derived: each entry is charged its
 // cost exactly once at insert time and refunds exactly the charged cost

@@ -17,7 +17,6 @@
 #include "core/session.h"
 #include "engine/analysis/analysis_cache.h"
 #include "engine/cache/disk_cache.h"
-#include "engine/cache/solution_cache.h"
 #include "engine/fingerprint.h"
 #include "engine/oracle/incremental_oracle.h"
 #include "engine/oracle/snapshot_cache.h"
@@ -383,10 +382,6 @@ struct FamilyCaches {
       std::make_shared<oracle::SnapshotCache>();
   std::shared_ptr<analysis::AnalysisCache> analysis =
       std::make_shared<analysis::AnalysisCache>();
-  /// Whole-solve result memoization for the solve cross-check's fourth
-  /// variant (its hit must fingerprint-match a from-scratch solve).
-  std::shared_ptr<cache::SolutionCache> solutions =
-      std::make_shared<cache::SolutionCache>();
   /// Persistent tier; null unless the campaign configured a directory.
   std::shared_ptr<cache::DiskCache> disk;
 };
@@ -685,15 +680,6 @@ void run_solve_check(long it, const FuzzConfig& config, FamilyCaches& family,
     o.proof_threads = 2;
     o.disk_cache = family.disk;  // null = tier off, same as elsewhere
     variants.emplace_back("tiers-shared-parallel", o);
-  }
-  {
-    // Whole-solve result tier: the first run with these specs stores, a
-    // recurring spec tuple is served from the memoized Solution — either
-    // way the fingerprint must equal the reference's.
-    core::SolveOptions o = base;
-    o.solution_cache = family.solutions;
-    o.disk_cache = family.disk;
-    variants.emplace_back("solution-cache", o);
   }
 
   ++report.solve_checks;

@@ -14,17 +14,15 @@ std::string SolveStats::summary() const {
       "%ld evictions | oracle %ld calls, %ld hits, %ld misses, %ld states | "
       "subsumption %ld hits, %ld cuts | prefix %ld hits, %ld reused, "
       "%ld extended | parallel %ld proofs @%d threads | disk %ld hits, "
-      "%ld misses, %ld writes, %ld trims | solution %ld hits, %ld misses | "
-      "redim %ld events: %ld removals, %ld refits, %ld conflicts, "
-      "%ld new slots",
+      "%ld misses, %ld writes, %ld trims | redim %ld events: %ld removals, "
+      "%ld refits, %ld conflicts, %ld new slots",
       total_ms, analysis_ms, stability_ms, dwell_ms, mapping_ms, baseline_ms,
       analysis_hits, analysis_misses, analysis_evictions, oracle_calls,
       cache_hits, cache_misses, verifier_states, subsumption_hits,
       subsumption_cuts, prefix_hits, states_reused, states_extended,
       parallel_proofs, proof_threads, disk_hits, disk_misses, disk_writes,
-      disk_trims, solution_hits, solution_misses, redimension_events,
-      redimension_removals, redimension_refits, redimension_conflicts,
-      redimension_new_slots);
+      disk_trims, redimension_events, redimension_removals,
+      redimension_refits, redimension_conflicts, redimension_new_slots);
   return buf;
 }
 
@@ -53,8 +51,6 @@ SolveStats operator+(const SolveStats& a, const SolveStats& b) {
   out.disk_misses = a.disk_misses + b.disk_misses;
   out.disk_writes = a.disk_writes + b.disk_writes;
   out.disk_trims = a.disk_trims + b.disk_trims;
-  out.solution_hits = a.solution_hits + b.solution_hits;
-  out.solution_misses = a.solution_misses + b.solution_misses;
   out.redimension_events = a.redimension_events + b.redimension_events;
   out.redimension_removals = a.redimension_removals + b.redimension_removals;
   out.redimension_refits = a.redimension_refits + b.redimension_refits;

@@ -36,7 +36,9 @@ struct SolveStats {
   double total_ms = 0.0;
 
   // Admission-oracle counters (proposed mapping only; the baselines use
-  // the closed-form [9] analysis, not the verifier). The four tiers of
+  // the closed-form [9] analysis, not the verifier), copied once per pass
+  // from that pass's IncrementalAdmissionOracle, whose per-tier
+  // accessors carry the same counts (core/session.cpp). The four tiers of
   // the incremental oracle report as: cache_hits (tier 1, exact
   // verdict), subsumption_hits/subsumption_cuts (tier 2, answered by
   // multiset inclusion against proven populations — no verifier run, so
@@ -68,20 +70,13 @@ struct SolveStats {
   // Disk-tier counters (engine/cache/disk_cache.h): the delta of the
   // shared DiskCache's monotonic counters observed across this solve —
   // approximate when the directory is shared with concurrent jobs,
-  // exact otherwise. disk_hits spans all three spaces (analysis,
-  // verdict, solution); a disk analysis/verdict hit ALSO counts in the
-  // corresponding memory-tier hit counter above, because the disk tier
-  // answers by populating the memory tier.
+  // exact otherwise. disk_hits spans both spaces (analysis, verdict);
+  // a disk hit ALSO counts in the corresponding memory-tier hit counter
+  // above, because the disk tier answers by populating the memory tier.
   long disk_hits = 0;
   long disk_misses = 0;
   long disk_writes = 0;
   long disk_trims = 0;
-
-  // Whole-solve result cache (engine/cache/solution_cache.h): 1/0 per
-  // solve — a hit short-circuits the entire pipeline, so every other
-  // counter in this struct is zero on a solution hit.
-  long solution_hits = 0;
-  long solution_misses = 0;
 
   // Online re-dimensioning (core::DimensioningSession::redimension):
   // zero on a fresh solve. events counts the delta entries applied;

@@ -1,7 +1,8 @@
 // The persistent cache tier (engine/cache/disk_cache.h) and the binary
 // value codecs under it (support/codec.h): round trips for every cached
-// value type, hostile-input behaviour (every strict prefix of a valid
-// encoding must fail cleanly, never throw), and the on-disk contract —
+// value type and for whole solutions, hostile-input behaviour (every
+// strict prefix of a valid encoding must fail cleanly, never throw), and
+// the on-disk contract —
 // crash-left temp files are invisible, corruption and version skew read
 // as misses, the trim respects the byte budget in mtime order, and two
 // handles sharing one directory stay consistent.
@@ -14,10 +15,13 @@
 #include <thread>
 #include <vector>
 
+#include "casestudy/apps.h"
 #include "control/design.h"
 #include "control/lti.h"
+#include "core/dimensioning.h"
 #include "engine/analysis/analysis_cache.h"
 #include "engine/cache/disk_cache.h"
+#include "engine/fingerprint.h"
 #include "gtest/gtest.h"
 #include "linalg/lyap.h"
 #include "linalg/matrix.h"
@@ -201,6 +205,34 @@ TEST(Codec, AppAnalysisResultRoundTrip) {
       [](Decoder& d, analysis::AppAnalysisResult& v) {
         return analysis::decode(d, v);
       });
+}
+
+TEST(Codec, SolutionRoundTrip) {
+  // The six-app case study: every AppSolution field and all three
+  // assignments are populated. SolveStats is measurement and is not
+  // encoded, so equality is judged by engine::fingerprint.
+  std::vector<core::AppSpec> specs;
+  for (const casestudy::App& app : casestudy::all_apps())
+    specs.push_back({app.name, app.plant, app.kt, app.ke,
+                     app.min_interarrival, app.settling_requirement});
+  const core::Solution solution = core::solve(specs);
+  std::string bytes;
+  Encoder enc(bytes);
+  core::encode_solution(enc, solution);
+
+  Decoder dec(bytes);
+  core::Solution back;
+  ASSERT_TRUE(core::decode_solution(dec, back));
+  EXPECT_TRUE(dec.done());
+  EXPECT_EQ(engine::fingerprint(back), engine::fingerprint(solution));
+
+  // Hostility: every strict prefix reads as failure, never as a throw.
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    Decoder partial(std::string_view(bytes.data(), cut));
+    core::Solution scratch;
+    EXPECT_FALSE(core::decode_solution(partial, scratch))
+        << "prefix of " << cut << "/" << bytes.size() << " bytes decoded";
+  }
 }
 
 TEST(Codec, DiscreteLtiDecodePrevalidates) {

@@ -2,11 +2,8 @@
 // property is that thread count is unobservable in the results — N jobs
 // on 1 thread and on 8 threads produce byte-identical fingerprints, with
 // per-job failures isolated into their own outcome slot.
-#include <atomic>
-#include <chrono>
 #include <set>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "casestudy/apps.h"
@@ -40,48 +37,18 @@ std::vector<BatchJob> small_batch() {
   return jobs;
 }
 
-TEST(BatchRunner, ForEachIndexCoversEveryIndexOnce) {
-  BatchRunner runner(8);
-  std::vector<std::atomic<int>> hits(101);
-  for (auto& h : hits) h = 0;
-  runner.for_each_index(101, [&](int i) { ++hits[static_cast<size_t>(i)]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(BatchRunner, ForEachIndexOverlapsWork) {
-  // Sleep-bound tasks overlap regardless of core count: 8 x 100 ms on 8
-  // threads must finish far below the 800 ms serial time. The 600 ms
-  // bound leaves room for scheduler noise on loaded CI machines.
-  BatchRunner runner(8);
-  const auto t0 = std::chrono::steady_clock::now();
-  runner.for_each_index(8, [](int) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  });
-  const double elapsed_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                t0)
-          .count();
-  EXPECT_LT(elapsed_ms, 600.0);
-}
-
-TEST(BatchRunner, ForEachIndexPropagatesExceptions) {
-  BatchRunner runner(4);
-  EXPECT_THROW(runner.for_each_index(
-                   50, [](int i) { if (i == 17) throw std::runtime_error("x"); }),
-               std::runtime_error);
-  EXPECT_THROW(static_cast<void>(BatchRunner(-1)), std::logic_error);
-}
-
 TEST(BatchRunner, ThreadCountDefaultsAndOverrides) {
   EXPECT_GE(BatchRunner(0).thread_count(), 1);
   EXPECT_EQ(BatchRunner(1).thread_count(), 1);
   EXPECT_EQ(BatchRunner(8).thread_count(), 8);
+  EXPECT_THROW(static_cast<void>(BatchRunner(-1)), std::logic_error);
 }
 
 TEST(BatchRunner, OneThreadAndEightThreadsByteIdentical) {
   const std::vector<BatchJob> jobs = small_batch();
-  const std::vector<BatchOutcome> serial = BatchRunner(1).solve_all(jobs);
-  const std::vector<BatchOutcome> parallel = BatchRunner(8).solve_all(jobs);
+  const std::vector<BatchOutcome> serial = BatchRunner(1).run(jobs).outcomes;
+  const std::vector<BatchOutcome> parallel =
+      BatchRunner(8).run(jobs).outcomes;
   ASSERT_EQ(serial.size(), jobs.size());
   ASSERT_EQ(parallel.size(), jobs.size());
   std::set<std::string> distinct;
@@ -101,7 +68,7 @@ TEST(BatchRunner, FailingJobIsolatedFromTheBatch) {
   // J* below JT is unmeetable even with a dedicated slot: solve throws,
   // and the batch must convert that into a per-job error.
   jobs[1].specs[0].settling_requirement = 1;
-  const std::vector<BatchOutcome> outcomes = BatchRunner(8).solve_all(jobs);
+  const std::vector<BatchOutcome> outcomes = BatchRunner(8).run(jobs).outcomes;
   EXPECT_TRUE(outcomes[0].ok());
   EXPECT_FALSE(outcomes[1].ok());
   EXPECT_FALSE(outcomes[1].error.empty());
@@ -110,7 +77,7 @@ TEST(BatchRunner, FailingJobIsolatedFromTheBatch) {
 }
 
 TEST(BatchRunner, EmptyBatch) {
-  EXPECT_TRUE(BatchRunner(4).solve_all({}).empty());
+  EXPECT_TRUE(BatchRunner(4).run({}).outcomes.empty());
 }
 
 TEST(BatchRunner, ReportCountsEveryFailedJob) {
@@ -153,7 +120,7 @@ TEST(BatchRunner, SharedAnalysisCacheReusesAnalysesAcrossJobs) {
 
   // Shared-cache outcomes are byte-identical to fully private solves.
   const std::vector<BatchOutcome> reference =
-      BatchRunner(1).solve_all(small_batch());
+      BatchRunner(1).run(small_batch()).outcomes;
   for (size_t i = 0; i < jobs.size(); ++i) {
     ASSERT_TRUE(report.outcomes[i].ok()) << report.outcomes[i].error;
     ASSERT_TRUE(reference[i].ok()) << reference[i].error;
@@ -172,9 +139,10 @@ TEST(BatchRunner, MemoizedAndUncachedSolvesFingerprintIdentically) {
     job.options.memoize_admission = false;
     job.options.incremental_admission = false;
   }
-  const std::vector<BatchOutcome> cached = BatchRunner(2).solve_all(cached_jobs);
+  const std::vector<BatchOutcome> cached =
+      BatchRunner(2).run(cached_jobs).outcomes;
   const std::vector<BatchOutcome> uncached =
-      BatchRunner(2).solve_all(uncached_jobs);
+      BatchRunner(2).run(uncached_jobs).outcomes;
   for (size_t i = 0; i < cached.size(); ++i) {
     ASSERT_TRUE(cached[i].ok()) << cached[i].error;
     ASSERT_TRUE(uncached[i].ok()) << uncached[i].error;
@@ -197,7 +165,7 @@ TEST(BatchRunner, SharedVerdictCacheReusesProofsAcrossJobs) {
   const auto cache = std::make_shared<oracle::VerdictCache>();
   for (BatchJob& job : jobs) job.options.verdict_cache = cache;
 
-  const std::vector<BatchOutcome> outcomes = BatchRunner(1).solve_all(jobs);
+  const std::vector<BatchOutcome> outcomes = BatchRunner(1).run(jobs).outcomes;
   long hits = 0;
   for (const BatchOutcome& outcome : outcomes) {
     ASSERT_TRUE(outcome.ok()) << outcome.error;

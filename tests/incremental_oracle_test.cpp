@@ -239,10 +239,12 @@ TEST(IncrementalSolve, OnOffSerialParallelFingerprintIdentically) {
   std::vector<BatchJob> on = multi_app_jobs();
   std::vector<BatchJob> off = multi_app_jobs();
   for (BatchJob& job : off) job.options.incremental_admission = false;
-  const std::vector<BatchOutcome> on_serial = BatchRunner(1).solve_all(on);
-  const std::vector<BatchOutcome> on_parallel = BatchRunner(4).solve_all(on);
-  const std::vector<BatchOutcome> off_serial = BatchRunner(1).solve_all(off);
-  const std::vector<BatchOutcome> off_parallel = BatchRunner(4).solve_all(off);
+  const std::vector<BatchOutcome> on_serial = BatchRunner(1).run(on).outcomes;
+  const std::vector<BatchOutcome> on_parallel = BatchRunner(4).run(on).outcomes;
+  const std::vector<BatchOutcome> off_serial =
+      BatchRunner(1).run(off).outcomes;
+  const std::vector<BatchOutcome> off_parallel =
+      BatchRunner(4).run(off).outcomes;
   for (size_t i = 0; i < on.size(); ++i) {
     ASSERT_TRUE(on_serial[i].ok()) << on_serial[i].error;
     ASSERT_TRUE(off_serial[i].ok()) << off_serial[i].error;
@@ -274,7 +276,7 @@ TEST(IncrementalSolve, SharedSnapshotCacheReusesPrefixesAcrossSolves) {
   // snapshot tier alone.
   const std::vector<BatchJob> copy = jobs;
   jobs.insert(jobs.end(), copy.begin(), copy.end());
-  const std::vector<BatchOutcome> outcomes = BatchRunner(1).solve_all(jobs);
+  const std::vector<BatchOutcome> outcomes = BatchRunner(1).run(jobs).outcomes;
   for (const BatchOutcome& outcome : outcomes)
     ASSERT_TRUE(outcome.ok()) << outcome.error;
   for (size_t i = 0; i < copy.size(); ++i) {

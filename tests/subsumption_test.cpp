@@ -423,7 +423,7 @@ TEST(SubsumptionSolve, OnOffSerialParallelFingerprintIdentically) {
         jobs.push_back(std::move(job));
       }
       const std::vector<BatchOutcome> outcomes =
-          BatchRunner(threads).solve_all(jobs);
+          BatchRunner(threads).run(jobs).outcomes;
       std::string print;
       SolveStats total;
       for (const BatchOutcome& outcome : outcomes) {

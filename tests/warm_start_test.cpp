@@ -1,9 +1,8 @@
 // Cross-process warm start through the persistent tier: a fresh DiskCache
 // handle over a directory another handle populated must answer the whole
 // solve — zero analysis recomputes, zero verifier runs — with a
-// byte-identical fingerprint; the whole-solve Solution cache must
-// short-circuit the entire pipeline on a key hit; and injected entry
-// corruption must degrade to a cold (but correct) solve, never a failure.
+// byte-identical fingerprint; and injected entry corruption must degrade
+// to a cold (but correct) solve, never a failure.
 // The in-process fresh-handle construction is exactly what a process
 // restart or a CI actions/cache restore produces; examples/warm_start.cpp
 // runs the same checks across real processes.
@@ -16,7 +15,6 @@
 #include "casestudy/apps.h"
 #include "core/dimensioning.h"
 #include "engine/cache/disk_cache.h"
-#include "engine/cache/solution_cache.h"
 #include "engine/fingerprint.h"
 #include "gtest/gtest.h"
 
@@ -57,21 +55,26 @@ TEST_F(WarmStartTest, FreshHandleOverWarmDirectorySolvesWithoutRecompute) {
   const core::Solution reference = core::solve(specs_, base_options());
   const std::string fp = engine::fingerprint(reference);
 
-  // Cold pass: first handle populates the directory.
+  // Cold pass: first handle populates the directory. A thread budget
+  // leaves the result alone, and every pass reports the resolved budget.
   core::SolveOptions cold = base_options();
+  cold.proof_threads = 2;
   cold.disk_cache = std::make_shared<engine::cache::DiskCache>(dir_);
   const core::Solution first = core::solve(specs_, cold);
   EXPECT_EQ(engine::fingerprint(first), fp);
   EXPECT_GT(first.stats.analysis_misses, 0);
   EXPECT_GT(first.stats.disk_writes, 0);
+  EXPECT_EQ(first.stats.proof_threads, 2);
 
   // Warm pass: a *fresh* handle (fresh memory caches, fresh stats) over
   // the same directory — the process-restart shape. Everything must come
   // from disk: no analysis recompute, no verifier run.
   core::SolveOptions warm = base_options();
+  warm.proof_threads = 2;
   warm.disk_cache = std::make_shared<engine::cache::DiskCache>(dir_);
   const core::Solution second = core::solve(specs_, warm);
   EXPECT_EQ(engine::fingerprint(second), fp);
+  EXPECT_EQ(second.stats.proof_threads, 2);
   EXPECT_EQ(second.stats.analysis_misses, 0);
   EXPECT_EQ(second.stats.cache_misses, 0);
   EXPECT_EQ(second.stats.verifier_states, 0);
@@ -83,50 +86,9 @@ TEST_F(WarmStartTest, FreshHandleOverWarmDirectorySolvesWithoutRecompute) {
                 second.stats.subsumption_cuts + second.stats.cache_misses);
 }
 
-TEST_F(WarmStartTest, SolutionCacheShortCircuitsTheWholePipeline) {
-  const std::string fp =
-      engine::fingerprint(core::solve(specs_, base_options()));
-
-  // A thread budget leaves the result alone, and every pass (cold or
-  // served from either cache tier) reports the resolved budget.
-  core::SolveOptions store = base_options();
-  store.proof_threads = 2;
-  store.disk_cache = std::make_shared<engine::cache::DiskCache>(dir_);
-  store.solution_cache = std::make_shared<engine::cache::SolutionCache>();
-  const core::Solution first = core::solve(specs_, store);
-  EXPECT_EQ(engine::fingerprint(first), fp);
-  EXPECT_EQ(first.stats.solution_hits, 0);
-  EXPECT_EQ(first.stats.solution_misses, 1);
-  EXPECT_EQ(first.stats.proof_threads, 2);
-
-  // Memory hit: same SolutionCache, second solve of the same specs.
-  const core::Solution memory_hit = core::solve(specs_, store);
-  EXPECT_EQ(engine::fingerprint(memory_hit), fp);
-  EXPECT_EQ(memory_hit.stats.solution_hits, 1);
-  EXPECT_EQ(memory_hit.stats.oracle_calls, 0);
-  EXPECT_EQ(memory_hit.stats.analysis_hits, 0);
-  EXPECT_EQ(memory_hit.stats.proof_threads, 2);
-
-  // Disk hit: fresh memory SolutionCache, fresh DiskCache handle — only
-  // the directory carries the result across, and no pipeline phase runs.
-  core::SolveOptions restart = base_options();
-  restart.proof_threads = 2;
-  restart.disk_cache = std::make_shared<engine::cache::DiskCache>(dir_);
-  restart.solution_cache = std::make_shared<engine::cache::SolutionCache>();
-  const core::Solution disk_hit = core::solve(specs_, restart);
-  EXPECT_EQ(engine::fingerprint(disk_hit), fp);
-  EXPECT_EQ(disk_hit.stats.solution_hits, 1);
-  EXPECT_EQ(disk_hit.stats.oracle_calls, 0);
-  EXPECT_EQ(disk_hit.stats.analysis_hits, 0);
-  EXPECT_EQ(disk_hit.stats.analysis_misses, 0);
-  EXPECT_GT(disk_hit.stats.disk_hits, 0);
-  EXPECT_EQ(disk_hit.stats.proof_threads, 2);
-}
-
 TEST_F(WarmStartTest, CorruptionDegradesToColdMissNeverFailure) {
   core::SolveOptions cold = base_options();
   cold.disk_cache = std::make_shared<engine::cache::DiskCache>(dir_);
-  cold.solution_cache = std::make_shared<engine::cache::SolutionCache>();
   const core::Solution first = core::solve(specs_, cold);
   const std::string fp = engine::fingerprint(first);
 
@@ -146,10 +108,8 @@ TEST_F(WarmStartTest, CorruptionDegradesToColdMissNeverFailure) {
   // miss, the solve recomputes cold, and the result is still identical.
   core::SolveOptions warm = base_options();
   warm.disk_cache = std::make_shared<engine::cache::DiskCache>(dir_);
-  warm.solution_cache = std::make_shared<engine::cache::SolutionCache>();
   const core::Solution second = core::solve(specs_, warm);
   EXPECT_EQ(engine::fingerprint(second), fp);
-  EXPECT_EQ(second.stats.solution_hits, 0);
   EXPECT_GT(second.stats.analysis_misses, 0);
   EXPECT_GT(warm.disk_cache->stats().corrupt, 0);
 
@@ -190,8 +150,7 @@ TEST_F(WarmStartTest, SolveKeyCoversResultAffectingInputsOnly) {
   }
 
   // ...cache/thread toggles do not (pinned byte-identical by the
-  // fingerprint-equality suites), so warm and cold configurations share
-  // solve-result entries.
+  // fingerprint-equality suites).
   {
     core::SolveOptions o = base;
     o.memoize_admission = false;
