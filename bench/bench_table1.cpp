@@ -1,12 +1,17 @@
 // Reproduces Table 1 of the paper: per application the settling times JT
 // (dedicated slot) and JE (dynamic segment only), the maximum wait T*w and
 // the dwell-time arrays T-dw / T+dw, side by side with the values printed
-// in the paper. Then benchmarks the dwell-time analysis per application.
+// in the paper. Then benchmarks the three layers of the per-application
+// analysis for each application: the CQLF search, the switching-stability
+// check (CQLF search plus the Fig. 3 degradation grid) and the dwell-table
+// search.
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
+#include "control/design.h"
+#include "linalg/lyap.h"
 
 namespace {
 
@@ -90,6 +95,32 @@ void BM_DwellTables(benchmark::State& state) {
   state.SetLabel(app.name);
 }
 BENCHMARK(BM_DwellTables)->DenseRange(0, 5)->Unit(benchmark::kMillisecond);
+
+void BM_CqlfSearch(benchmark::State& state) {
+  const auto apps = casestudy::all_apps();
+  const casestudy::App& app = apps[static_cast<size_t>(state.range(0))];
+  const control::SwitchedModes modes =
+      control::switched_modes(app.plant, app.kt, app.ke);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        linalg::find_common_lyapunov(modes.a_tt, modes.a_et));
+  }
+  state.SetLabel(app.name);
+}
+BENCHMARK(BM_CqlfSearch)->DenseRange(0, 5)->Unit(benchmark::kMillisecond);
+
+void BM_SwitchingStability(benchmark::State& state) {
+  const auto apps = casestudy::all_apps();
+  const casestudy::App& app = apps[static_cast<size_t>(state.range(0))];
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        control::check_switching_stability(app.plant, app.kt, app.ke));
+  }
+  state.SetLabel(app.name);
+}
+BENCHMARK(BM_SwitchingStability)
+    ->DenseRange(0, 5)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -6,7 +6,7 @@ for BM_CaseStudySolveAnalysisWarm, BM_CaseStudySolveSubsumptionWarm and
 BM_CaseStudySolveDiskWarm; bench_verification for the BM_DiscreteLarge
 serial/parallel verifier pair; bench_redimension for the
 BM_RedimensionWarmChurn / BM_RedimensionColdPerEvent warm-vs-cold churn
-pair) against
+pair; bench_table1 for the per-application analysis layers) against
 the checked-in bench/BENCH_baseline.json. Any gated benchmark that cannot be compared —
 missing from the current reports or the baseline, or normalized by an
 absent/zero calibration — fails the gate loudly; nothing is skipped. Absolute times are
@@ -28,7 +28,7 @@ Usage:
 
 Exit code 1 when any gated benchmark is more than `threshold` slower
 (calibrated) than the baseline. Speedups update nothing — refresh the
-baseline deliberately by re-running bench_oracle and bench_batch with
+baseline deliberately by re-running the affected bench binaries with
 --benchmark_format=json and committing the merged groups.
 """
 
@@ -58,6 +58,13 @@ GATED = [
     # one or the cold baseline quietly speeding past the ratio both trip.
     "BM_RedimensionWarmChurn",
     "BM_RedimensionColdPerEvent",
+    # The per-application analysis layers (bench_table1) on C2, the
+    # slowest Table-1 pair: the CQLF search, the switching-stability
+    # check (CQLF search plus the degradation grid) and the dwell-table
+    # search.
+    "BM_CqlfSearch/1",
+    "BM_SwitchingStability/1",
+    "BM_DwellTables/1",
 ]
 CALIBRATION = "BM_Calibration"
 

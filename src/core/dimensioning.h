@@ -177,7 +177,8 @@ void encode_solution(support::codec::Encoder& enc, const Solution& solution);
                                    Solution& solution);
 
 /// Run the full pipeline. Throws std::invalid_argument when a requirement
-/// is unmeetable or (if required) a gain pair lacks switching stability.
+/// is unmeetable, a gain is mis-shaped (kt must be 1 x n, ke 1 x (n+1)) or
+/// non-finite, or (if required) a gain pair lacks switching stability.
 /// One pass of a throwaway DimensioningSession (core/session.h) under
 /// the hood — long-lived callers that re-dimension under churn hold a
 /// session instead and call its solve()/redimension().

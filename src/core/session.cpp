@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <unordered_set>
 #include <utility>
 
@@ -143,6 +144,23 @@ void place_app(Solution& solution, int idx,
   }
 }
 
+/// Reject gains no analysis may see: kt must be 1 x n, ke 1 x (n+1), and
+/// every entry finite. Without this a NaN gain reaches the eigensolver
+/// (which fails to converge), an infinite one yields a bogus "not
+/// switching stable", and a wrong shape trips a precondition deep inside.
+void check_gains(const AppSpec& spec, const char* where) {
+  const control::Index n = spec.plant.n_states();
+  const std::string prefix = std::string(where) + ": " + spec.name;
+  if (spec.kt.rows() != 1 || spec.kt.cols() != n)
+    throw std::invalid_argument(prefix + " needs kt of shape 1 x " +
+                                std::to_string(n));
+  if (spec.ke.rows() != 1 || spec.ke.cols() != n + 1)
+    throw std::invalid_argument(prefix + " needs ke of shape 1 x " +
+                                std::to_string(n + 1));
+  if (!spec.kt.all_finite() || !spec.ke.all_finite())
+    throw std::invalid_argument(prefix + " has a non-finite gain entry");
+}
+
 }  // namespace
 
 DimensioningSession::DimensioningSession(SolveOptions options)
@@ -271,6 +289,7 @@ void DimensioningSession::stage_baselines(
 
 Solution DimensioningSession::solve(const std::vector<AppSpec>& specs) {
   TTDIM_EXPECTS(!specs.empty());
+  for (const AppSpec& spec : specs) check_gains(spec, "solve");
   support::MutexLock lock(mutex_);
   const auto t_solve = Clock::now();
   engine::cache::DiskCache* const disk = options_.disk_cache.get();
@@ -313,6 +332,7 @@ void DimensioningSession::validate_delta_locked(const Delta& delta) const {
     if (!rerated.insert(spec.name).second)
       throw std::invalid_argument("redimension: duplicate re-rate of " +
                                   spec.name);
+    check_gains(spec, "redimension");
   }
   std::unordered_set<std::string> added;
   for (const AppSpec& spec : delta.add) {
@@ -325,6 +345,7 @@ void DimensioningSession::validate_delta_locked(const Delta& delta) const {
     if (!added.insert(spec.name).second)
       throw std::invalid_argument("redimension: duplicate addition of " +
                                   spec.name);
+    check_gains(spec, "redimension");
   }
   if (present.size() - removed.size() + added.size() == 0)
     throw std::invalid_argument(

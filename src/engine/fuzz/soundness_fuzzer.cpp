@@ -24,6 +24,7 @@
 #include "engine/scenario_generator.h"
 #include "mapping/first_fit.h"
 #include "support/check.h"
+#include "support/splitmix64.h"
 
 namespace ttdim::engine::fuzz {
 
@@ -32,16 +33,11 @@ namespace {
 using Population = std::vector<verify::AppTiming>;
 using ClaimFn = std::function<bool(const Population&)>;
 
-/// splitmix64: the per-iteration seed derivation. Each iteration's PRNG is
-/// a pure function of (campaign seed, iteration index), so a wall-clock
-/// budget that stops the campaign early yields a strict prefix of the
-/// unbudgeted trajectory — never a different one.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
+// splitmix64 is the per-iteration seed derivation. Each iteration's PRNG
+// is a pure function of (campaign seed, iteration index), so a wall-clock
+// budget that stops the campaign early yields a strict prefix of the
+// unbudgeted trajectory — never a different one.
+using support::splitmix64;
 
 int pick(std::mt19937_64& rng, int lo, int hi) {
   return std::uniform_int_distribution<int>(lo, hi)(rng);

@@ -43,9 +43,10 @@ switching::DwellTables compute_dwell_tables_parallel(
     std::vector<std::exception_ptr> errors(static_cast<size_t>(count));
     engine::parallel_for_index(workers, count, [&](int i) {
       // Rows past the serial search's stopping point are speculative and
-      // get discarded below; an exception there (e.g. a wait so large the
-      // simulation horizon precondition fails) must not surface, because
-      // the serial search never evaluates those waits.
+      // get discarded below; an exception there must not surface, because
+      // the serial search never evaluates those waits. (A wait whose
+      // schedule overruns the horizon is an infeasible row, not an error,
+      // in both searches.)
       try {
         rows[static_cast<size_t>(i)] = switching::compute_dwell_row(
             loop, waits[base + static_cast<size_t>(i)], spec);

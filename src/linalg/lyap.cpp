@@ -58,19 +58,22 @@ bool certifies_decrease(const Matrix& a, const Matrix& p, double tol) {
 
 namespace {
 
-/// Largest system whose subgradient scratch lives on the stack. The
-/// paper's augmented closed loops are 2x2 to 4x4.
-constexpr Index kStackN = 6;
+/// Largest system whose subgradient phase is instantiated for its exact
+/// size, with stack scratch. The paper's augmented closed loops are 2x2
+/// to 4x4.
+constexpr Index kFixedMaxN = 6;
 
 /// Scratch storage the subgradient phase below is written against, one
 /// instantiation per shape (the PackedShape/HeapShape idiom of
-/// verify/discrete.cpp): arrays with the compile-time row stride Cap on
-/// the stack for n <= Cap, heap storage above. Both index as m[r][c] and
-/// v[i], so every n runs the same arithmetic.
-template <Index Cap>
-struct StackScratch {
-  using Vec = std::array<double, Cap>;
-  using Mat = std::array<Vec, Cap>;
+/// verify/discrete.cpp): FixedScratch<N> keeps N x N arrays on the stack
+/// and makes the size a compile-time constant, so every loop has a fixed
+/// trip count; HeapScratch holds any n > kFixedMaxN. Both index as m[r][c]
+/// and v[i], so every n runs the same arithmetic.
+template <Index N>
+struct FixedScratch {
+  using Vec = std::array<double, N>;
+  using Mat = std::array<Vec, N>;
+  static constexpr Index dim(Index /*n*/) { return N; }
   static Vec vec(Index /*n*/) { return {}; }
   static Mat mat(Index /*n*/) { return {}; }
 };
@@ -78,55 +81,111 @@ struct StackScratch {
 struct HeapScratch {
   using Vec = std::vector<double>;
   using Mat = std::vector<Vec>;
+  static Index dim(Index n) { return n; }
   static Vec vec(Index n) { return Vec(static_cast<size_t>(n)); }
   static Mat mat(Index n) { return Mat(static_cast<size_t>(n), vec(n)); }
 };
 
-/// Cyclic Jacobi eigendecomposition of the symmetric n x n block `m`,
-/// which is diagonalized in place: the (unordered) eigenvalues go to
-/// `values`, the orthonormal eigenvectors to the columns of `vectors`.
-template <typename Mat, typename Vec>
-void jacobi_eig(Mat& m, Index n, Vec& values, Mat& vectors) {
-  for (Index r = 0; r < n; ++r)
-    for (Index c = 0; c < n; ++c) vectors[r][c] = (r == c) ? 1.0 : 0.0;
+/// One Jacobi rotation of the (p, q) plane.
+struct Rotation {
+  Index p;
+  Index q;
+  double c;
+  double s;
+};
+
+/// The subgradient phase's three constraint matrices P, P - a1'P a1 and
+/// P - a2'P a2, one per lane.
+constexpr int kLanes = 3;
+
+/// Cyclic Jacobi diagonalization of the three symmetric n x n blocks
+/// `m[0..2]` in one interleaved pass, in place. Every lane performs
+/// exactly the operations of the one-matrix cyclic Jacobi method — the
+/// per-sweep convergence test on the off-diagonal mass against the largest
+/// entry, the 1e-18 skip, the rotation formula, row and column updates in
+/// the same order — so its diagonal (the eigenvalues) comes out bit for
+/// bit as if it ran alone. Lanes never read each other; interleaving them
+/// lets the CPU overlap three latency-bound chains of divisions and
+/// square roots. Eigenvectors are not accumulated here: each lane logs
+/// its rotations to `log[l]`, and replay_rotations() rebuilds the vectors
+/// of the one lane whose eigenvector the caller needs.
+template <typename S>
+void jacobi3(std::array<typename S::Mat, kLanes>& m, Index n_rt,
+             std::array<std::vector<Rotation>, kLanes>& log) {
+  const Index n = S::dim(n_rt);
+  bool active[kLanes] = {true, true, true};
+  for (std::vector<Rotation>& l : log) l.clear();
   for (int sweep = 0; sweep < 128; ++sweep) {
-    double off = 0.0;
-    for (Index i = 0; i < n; ++i)
-      for (Index j = i + 1; j < n; ++j) off += m[i][j] * m[i][j];
-    double ma = 0.0;
-    for (Index r = 0; r < n; ++r)
-      for (Index c = 0; c < n; ++c) ma = std::max(ma, std::abs(m[r][c]));
-    if (off < 1e-24 * std::max(1.0, ma * ma)) break;
+    bool any = false;
+    for (int l = 0; l < kLanes; ++l) {
+      if (!active[l]) continue;
+      const typename S::Mat& a = m[l];
+      double off = 0.0;
+      for (Index i = 0; i < n; ++i)
+        for (Index j = i + 1; j < n; ++j) off += a[i][j] * a[i][j];
+      double ma = 0.0;
+      for (Index r = 0; r < n; ++r)
+        for (Index c = 0; c < n; ++c) ma = std::max(ma, std::abs(a[r][c]));
+      active[l] = !(off < 1e-24 * std::max(1.0, ma * ma));
+      any = any || active[l];
+    }
+    if (!any) break;
     for (Index p = 0; p < n; ++p) {
       for (Index q = p + 1; q < n; ++q) {
-        if (std::abs(m[p][q]) < 1e-18) continue;
-        const double theta = (m[q][q] - m[p][p]) / (2.0 * m[p][q]);
-        const double t = (theta >= 0.0 ? 1.0 : -1.0) /
-                         (std::abs(theta) + std::sqrt(theta * theta + 1.0));
-        const double c = 1.0 / std::sqrt(t * t + 1.0);
-        const double s = t * c;
-        for (Index k = 0; k < n; ++k) {
-          const double mkp = m[k][p];
-          const double mkq = m[k][q];
-          m[k][p] = c * mkp - s * mkq;
-          m[k][q] = s * mkp + c * mkq;
+        bool rotate[kLanes] = {};
+        double cs[kLanes] = {};
+        double sn[kLanes] = {};
+        for (int l = 0; l < kLanes; ++l) {
+          const typename S::Mat& a = m[l];
+          rotate[l] = active[l] && !(std::abs(a[p][q]) < 1e-18);
+          if (!rotate[l]) continue;
+          const double theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q]);
+          const double t = (theta >= 0.0 ? 1.0 : -1.0) /
+                           (std::abs(theta) + std::sqrt(theta * theta + 1.0));
+          cs[l] = 1.0 / std::sqrt(t * t + 1.0);
+          sn[l] = t * cs[l];
         }
-        for (Index k = 0; k < n; ++k) {
-          const double mpk = m[p][k];
-          const double mqk = m[q][k];
-          m[p][k] = c * mpk - s * mqk;
-          m[q][k] = s * mpk + c * mqk;
-        }
-        for (Index k = 0; k < n; ++k) {
-          const double vkp = vectors[k][p];
-          const double vkq = vectors[k][q];
-          vectors[k][p] = c * vkp - s * vkq;
-          vectors[k][q] = s * vkp + c * vkq;
+        for (int l = 0; l < kLanes; ++l) {
+          if (!rotate[l]) continue;
+          typename S::Mat& a = m[l];
+          const double c = cs[l];
+          const double s = sn[l];
+          for (Index k = 0; k < n; ++k) {
+            const double akp = a[k][p];
+            const double akq = a[k][q];
+            a[k][p] = c * akp - s * akq;
+            a[k][q] = s * akp + c * akq;
+          }
+          for (Index k = 0; k < n; ++k) {
+            const double apk = a[p][k];
+            const double aqk = a[q][k];
+            a[p][k] = c * apk - s * aqk;
+            a[q][k] = s * apk + c * aqk;
+          }
+          log[l].push_back({p, q, c, s});
         }
       }
     }
   }
-  for (Index i = 0; i < n; ++i) values[i] = m[i][i];
+}
+
+/// The orthonormal eigenvectors of one jacobi3 lane, as columns of
+/// `vectors`: the logged rotations applied to the identity in order,
+/// exactly as the one-matrix method accumulates them.
+template <typename S>
+void replay_rotations(const std::vector<Rotation>& log, Index n_rt,
+                      typename S::Mat& vectors) {
+  const Index n = S::dim(n_rt);
+  for (Index r = 0; r < n; ++r)
+    for (Index c = 0; c < n; ++c) vectors[r][c] = (r == c) ? 1.0 : 0.0;
+  for (const Rotation& rot : log) {
+    for (Index k = 0; k < n; ++k) {
+      const double vkp = vectors[k][rot.p];
+      const double vkq = vectors[k][rot.q];
+      vectors[k][rot.p] = rot.c * vkp - rot.s * vkq;
+      vectors[k][rot.q] = rot.s * vkp + rot.c * vkq;
+    }
+  }
 }
 
 /// Subgradient feasibility phase of find_common_lyapunov. Minimises the
@@ -136,18 +195,25 @@ void jacobi_eig(Mat& m, Index n, Vec& values, Mat& vectors) {
 /// moving P along the eigenvector subgradient of the active constraint.
 /// This finds certificates that sit close to the boundary of the CQLF
 /// cone (the paper's KsE/KT pair is such a case). Deterministic; returns
-/// the best iterate found within a fixed iteration budget. The operation
-/// order (left-associated products that skip exact-zero factors, as
-/// Matrix operator* does) fixes the certificate bits, which linalg_test
-/// pins for both storage shapes.
+/// the best iterate found within a fixed iteration budget.
+///
+/// Each iteration diagonalizes the three F_i in one jacobi3 pass and
+/// builds eigenvectors only for the winning constraint, the first whose
+/// violation is strictly larger than every earlier one; when none wins
+/// (NaN violations) the previous gradient stays. The operation order
+/// (left-associated products that skip exact-zero factors, as Matrix
+/// operator* does) fixes the certificate bits, which linalg_test pins for
+/// every fixed size it reaches and for heap storage.
 template <typename S>
 Matrix subgradient_phase(const Matrix& a1m, const Matrix& a2m,
                          const Matrix& p0, double eps) {
-  const Index n = a1m.rows();
+  const Index n = S::dim(a1m.rows());
   typename S::Mat a1 = S::mat(n), a2 = S::mat(n), p = S::mat(n),
-                  best = S::mat(n), grad = S::mat(n), f = S::mat(n),
-                  t1 = S::mat(n), vectors = S::mat(n);
-  typename S::Vec values = S::vec(n), v = S::vec(n), av = S::vec(n);
+                  best = S::mat(n), grad = S::mat(n), t1 = S::mat(n),
+                  vectors = S::mat(n);
+  std::array<typename S::Mat, kLanes> f = {S::mat(n), S::mat(n), S::mat(n)};
+  std::array<std::vector<Rotation>, kLanes> log;
+  typename S::Vec v = S::vec(n), av = S::vec(n);
   for (Index r = 0; r < n; ++r)
     for (Index c = 0; c < n; ++c) {
       a1[r][c] = a1m(r, c);
@@ -157,12 +223,12 @@ Matrix subgradient_phase(const Matrix& a1m, const Matrix& a2m,
     }
   double best_violation = 1e18;
   for (int it = 0; it < 40000; ++it) {
-    double worst = -1e18;
-    for (int m = 0; m < 3; ++m) {
-      // f = p (m == 0) or p - a' p a, symmetrized.
+    for (int m = 0; m < kLanes; ++m) {
+      // f[m] = p (m == 0) or p - a' p a, symmetrized.
+      typename S::Mat& fm = f[m];
       if (m == 0) {
         for (Index r = 0; r < n; ++r)
-          for (Index c = 0; c < n; ++c) f[r][c] = p[r][c];
+          for (Index c = 0; c < n; ++c) fm[r][c] = p[r][c];
       } else {
         const auto& a = (m == 1) ? a1 : a2;
         for (Index r = 0; r < n; ++r) {  // t1 = a' * p
@@ -174,48 +240,59 @@ Matrix subgradient_phase(const Matrix& a1m, const Matrix& a2m,
           }
         }
         for (Index r = 0; r < n; ++r) {
-          for (Index c = 0; c < n; ++c) f[r][c] = 0.0;
+          for (Index c = 0; c < n; ++c) fm[r][c] = 0.0;
           for (Index k = 0; k < n; ++k) {
             const double x = t1[r][k];
             if (x == 0.0) continue;
-            for (Index c = 0; c < n; ++c) f[r][c] += x * a[k][c];
+            for (Index c = 0; c < n; ++c) fm[r][c] += x * a[k][c];
           }
-          for (Index c = 0; c < n; ++c) f[r][c] = p[r][c] - f[r][c];
+          for (Index c = 0; c < n; ++c) fm[r][c] = p[r][c] - fm[r][c];
         }
       }
       for (Index r = 0; r < n; ++r)
         for (Index c = r + 1; c < n; ++c) {
-          const double avg = 0.5 * (f[r][c] + f[c][r]);
-          f[r][c] = avg;
-          f[c][r] = avg;
+          const double avg = 0.5 * (fm[r][c] + fm[c][r]);
+          fm[r][c] = avg;
+          fm[c][r] = avg;
         }
-      jacobi_eig(f, n, values, vectors);
+    }
+    jacobi3<S>(f, n, log);
+
+    double worst = -1e18;
+    int winner = -1;
+    Index winner_mi = 0;
+    for (int m = 0; m < kLanes; ++m) {
       Index mi = 0;
       for (Index i = 1; i < n; ++i)
-        if (values[i] < values[mi]) mi = i;
-      const double violation = eps - values[mi];
+        if (f[m][i][i] < f[m][mi][mi]) mi = i;
+      const double violation = eps - f[m][mi][mi];
       if (violation > worst) {
         worst = violation;
-        for (Index k = 0; k < n; ++k) v[k] = vectors[k][mi];
-        // grad = v v' (- (a v)(a v)' for m > 0); rows whose factor is
-        // exactly zero stay zero, as in operator*.
+        winner = m;
+        winner_mi = mi;
+      }
+    }
+    if (winner >= 0) {
+      replay_rotations<S>(log[winner], n, vectors);
+      for (Index k = 0; k < n; ++k) v[k] = vectors[k][winner_mi];
+      // grad = v v' (- (a v)(a v)' for a winning decrease constraint);
+      // rows whose factor is exactly zero stay zero, as in operator*.
+      for (Index r = 0; r < n; ++r)
+        for (Index c = 0; c < n; ++c)
+          grad[r][c] = (v[r] == 0.0) ? 0.0 : 0.0 + v[r] * v[c];
+      if (winner > 0) {
+        const auto& a = (winner == 1) ? a1 : a2;
+        for (Index r = 0; r < n; ++r) {
+          av[r] = 0.0;
+          for (Index k = 0; k < n; ++k) {
+            const double x = a[r][k];
+            if (x == 0.0) continue;
+            av[r] += x * v[k];
+          }
+        }
         for (Index r = 0; r < n; ++r)
           for (Index c = 0; c < n; ++c)
-            grad[r][c] = (v[r] == 0.0) ? 0.0 : 0.0 + v[r] * v[c];
-        if (m > 0) {
-          const auto& a = (m == 1) ? a1 : a2;
-          for (Index r = 0; r < n; ++r) {
-            av[r] = 0.0;
-            for (Index k = 0; k < n; ++k) {
-              const double x = a[r][k];
-              if (x == 0.0) continue;
-              av[r] += x * v[k];
-            }
-          }
-          for (Index r = 0; r < n; ++r)
-            for (Index c = 0; c < n; ++c)
-              grad[r][c] -= (av[r] == 0.0) ? 0.0 : 0.0 + av[r] * av[c];
-        }
+            grad[r][c] -= (av[r] == 0.0) ? 0.0 : 0.0 + av[r] * av[c];
       }
     }
     if (worst < best_violation) {
@@ -249,6 +326,28 @@ Matrix subgradient_phase(const Matrix& a1m, const Matrix& a2m,
   for (Index r = 0; r < n; ++r)
     for (Index c = 0; c < n; ++c) out(r, c) = best[r][c];
   return out;
+}
+
+/// subgradient_phase on the scratch shape of a1's size.
+Matrix run_subgradient_phase(const Matrix& a1, const Matrix& a2,
+                             const Matrix& p0, double eps) {
+  static_assert(kFixedMaxN == 6, "one case per fixed size");
+  switch (a1.rows()) {
+    case 1:
+      return subgradient_phase<FixedScratch<1>>(a1, a2, p0, eps);
+    case 2:
+      return subgradient_phase<FixedScratch<2>>(a1, a2, p0, eps);
+    case 3:
+      return subgradient_phase<FixedScratch<3>>(a1, a2, p0, eps);
+    case 4:
+      return subgradient_phase<FixedScratch<4>>(a1, a2, p0, eps);
+    case 5:
+      return subgradient_phase<FixedScratch<5>>(a1, a2, p0, eps);
+    case 6:
+      return subgradient_phase<FixedScratch<6>>(a1, a2, p0, eps);
+    default:
+      return subgradient_phase<HeapScratch>(a1, a2, p0, eps);
+  }
 }
 
 }  // namespace
@@ -297,9 +396,7 @@ CommonLyapunov find_common_lyapunov(const Matrix& a1, const Matrix& a2) {
   const double eps = 1e-4;
   Matrix p = dlyap(a2, q);
   p /= p.max_abs();
-  const Matrix best =
-      n <= kStackN ? subgradient_phase<StackScratch<kStackN>>(a1, a2, p, eps)
-                   : subgradient_phase<HeapScratch>(a1, a2, p, eps);
+  const Matrix best = run_subgradient_phase(a1, a2, p, eps);
   if (is_positive_definite(best) && certifies_decrease(a1, best) &&
       certifies_decrease(a2, best))
     return {true, best};

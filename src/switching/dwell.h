@@ -110,9 +110,11 @@ struct DwellEndpoints {
                                               const DwellAnalysisSpec& spec);
 
 /// Exhaustively simulate all switching patterns allowed by the strategy
-/// and assemble the dwell tables. Throws std::invalid_argument when the
-/// requirement is unmeetable even with a dedicated slot (J* < JT) or the
-/// spec is malformed.
+/// and assemble the dwell tables. A pattern whose wait plus dwell overruns
+/// the settling horizon counts as not settled, so the search also stops at
+/// the first wait that leaves no room for a dwell. Throws
+/// std::invalid_argument when the requirement is unmeetable even with a
+/// dedicated slot (J* < JT) or the spec is malformed.
 [[nodiscard]] DwellTables compute_dwell_tables(const SwitchedLoop& loop,
                                                const DwellAnalysisSpec& spec);
 

@@ -2,7 +2,12 @@
 // measurement, pole placement, LQR and switching stability — anchored on
 // the paper's numbers wherever the paper states them.
 #include <cmath>
+#include <complex>
+#include <cstdint>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "casestudy/apps.h"
 #include "control/design.h"
@@ -10,6 +15,8 @@
 #include "control/sim.h"
 #include "gtest/gtest.h"
 #include "linalg/eig.h"
+#include "support/splitmix64.h"
+#include "switching/dwell.h"
 
 namespace ttdim::control {
 namespace {
@@ -192,6 +199,23 @@ TEST(PaperNumbers, KuEIsNotCertifiedSwitchingStableWithKT) {
   EXPECT_FALSE(s.switching_stable());
 }
 
+TEST(PaperNumbers, DegradationGridPastTheHorizonIsNotDegradationFree) {
+  // A nearly integrating plant under a zero ME gain settles at JE = 3990
+  // of the grid's 4000 samples, so the grid's waits up to JE + 5 with
+  // dwells up to 12 overrun the horizon. Those patterns do not settle
+  // within it: the pair gets a verdict (not degradation-free) instead of
+  // a precondition failure.
+  const DiscreteLti plant(Matrix{{0.99902}}, Matrix{{1e-3}}, Matrix{{1.0}},
+                          0.02);
+  const SwitchingStability s = check_switching_stability(
+      plant, Matrix{{100.0}}, Matrix{{0.0, 0.0}});
+  EXPECT_TRUE(s.tt_stable);
+  EXPECT_TRUE(s.et_stable);
+  EXPECT_EQ(s.settling_et, 3990);
+  EXPECT_EQ(s.worst_settling, 4000);
+  EXPECT_FALSE(s.degradation_free);
+}
+
 // ---------------------------------------------------------------- Design --
 
 TEST(Design, ControllabilityOfCaseStudyPlants) {
@@ -330,28 +354,146 @@ TEST(Simulation, ScheduleEquivalentToPattern) {
   for (size_t k = 0; k < a.size(); ++k) EXPECT_NEAR(a[k].y, b[k].y, 1e-12);
 }
 
-TEST(Simulation, FastSettlingPathBitIdenticalToTraceScan) {
-  // settling_of_pattern runs on flattened dynamics; it must agree exactly
-  // (not approximately) with scanning the materialized Trace, for every
-  // app and a grid of patterns including the degenerate ones.
-  for (const casestudy::App& app : casestudy::all_apps()) {
-    const SwitchedLoop loop(app.plant, app.kt, app.ke);
-    const SettlingSpec spec{kSettlingTol, 600};
-    for (int wait : {0, 1, 3, 7, 20}) {
-      for (int dwell : {0, 1, 2, 5, 11}) {
-        const auto via_trace = settling_samples(
-            loop.simulate_pattern(wait, dwell, spec), spec.abs_tol);
-        const auto fast = loop.settling_of_pattern(wait, dwell, spec);
-        EXPECT_EQ(fast, via_trace)
-            << app.name << " wait=" << wait << " dwell=" << dwell;
-      }
+/// settling_of_pattern against the Trace scan it must equal bit for bit;
+/// returns the Trace scan's answer.
+std::optional<int> expect_fast_equals_trace(const SwitchedLoop& loop, int wait,
+                                            int dwell, const SettlingSpec& spec,
+                                            const std::string& label) {
+  const auto via_trace =
+      settling_samples(loop.simulate_pattern(wait, dwell, spec), spec.abs_tol);
+  EXPECT_EQ(loop.settling_of_pattern(wait, dwell, spec), via_trace)
+      << label << " horizon=" << spec.horizon << " wait=" << wait
+      << " dwell=" << dwell;
+  return via_trace;
+}
+
+/// Every pattern the analysis visits on `loop`: the degradation grid of
+/// check_switching_stability (wait 0..JE+5 x dwell 0..12 at its default
+/// 4000-sample horizon) and the dwell-table search (wait 0..T*w+1, dwell
+/// up to the plateau, at the solve's 3000-sample horizon).
+void expect_analysis_patterns_match(const SwitchedLoop& loop,
+                                    int settling_requirement,
+                                    const std::string& label) {
+  const SettlingSpec grid{kSettlingTol, 4000};
+  const int je = settling_samples(loop.simulate_pattern(0, 0, grid),
+                                  grid.abs_tol)
+                     .value_or(40);
+  for (int wait = 0; wait <= je + 5; ++wait)
+    for (int dwell = 0; dwell <= 12; ++dwell)
+      expect_fast_equals_trace(loop, wait, dwell, grid, label);
+
+  switching::DwellAnalysisSpec dwell_spec;
+  dwell_spec.settling_requirement = settling_requirement;
+  dwell_spec.settling = SettlingSpec{kSettlingTol, 3000};
+  const int t_star =
+      switching::compute_dwell_tables(loop, dwell_spec).t_star_w;
+  for (int wait = 0; wait <= t_star + 1; ++wait) {
+    for (int dwell = 0; dwell <= 64; ++dwell) {
+      const auto j = expect_fast_equals_trace(loop, wait, dwell,
+                                              dwell_spec.settling, label);
+      if (dwell > 0 && j.has_value() && *j < wait + dwell) break;  // plateau
     }
+  }
+}
+
+TEST(Simulation, FastSettlingPathBitIdenticalToTraceScan) {
+  // settling_of_pattern runs on flattened dynamics and stops early on the
+  // tail certificate; it must agree exactly (not approximately) with
+  // scanning the materialized Trace on every pattern the analysis visits,
+  // for every Table-1 app and the paper's KuE pair.
+  std::vector<casestudy::App> loops = casestudy::all_apps();
+  casestudy::App kue = casestudy::c1();
+  kue.name = "C1/KuE";
+  kue.ke = casestudy::ke_unstable();
+  loops.push_back(kue);
+  for (const casestudy::App& app : loops) {
+    const SwitchedLoop loop(app.plant, app.kt, app.ke);
+    expect_analysis_patterns_match(loop, app.settling_requirement, app.name);
     // Full-horizon TT pattern (wait + dwell == horizon boundary).
     const SettlingSpec tight{kSettlingTol, 64};
-    EXPECT_EQ(loop.settling_of_pattern(0, 64, tight),
-              settling_samples(loop.simulate_pattern(0, 64, tight),
-                               tight.abs_tol));
+    expect_fast_equals_trace(loop, 0, 64, tight, app.name);
   }
+}
+
+/// Spectral radius of the ME closed loop a seeded loop is built for.
+enum class MeMode { kDamped, kNearUnitCircle, kUnstable };
+
+/// Seeded single-input plant with `n` states and output y = x_1, a fast
+/// gain placing the MT poles at radii 0.2-0.6, and a slow gain placing the
+/// ME poles (augmented space, n + 1) at radii 0.3-0.7 — except one at
+/// 0.999 for kNearUnitCircle and one at 1.02 for kUnstable.
+SwitchedLoop seeded_loop(Index n, MeMode me, std::uint64_t seed) {
+  support::SplitMix64 rng(support::splitmix64(seed));
+  Matrix phi(n, n);
+  Matrix gamma(n, 1);
+  Matrix c(1, n);
+  c(0, 0) = 1.0;
+  for (Index r = 0; r < n; ++r) {
+    for (Index j = 0; j < n; ++j) phi(r, j) = rng.symmetric_unit() / n;
+    phi(r, r) += 0.5;
+    gamma(r, 0) = rng.symmetric_unit();
+  }
+  const DiscreteLti plant(phi, gamma, c, kSamplingPeriod);
+  const auto radius = [&](double lo, double hi) {
+    return lo + (hi - lo) * 0.5 * (1.0 + rng.symmetric_unit());
+  };
+  std::vector<std::complex<double>> tt_poles;
+  for (Index i = 0; i < n; ++i) tt_poles.emplace_back(radius(0.2, 0.6), 0.0);
+  std::vector<std::complex<double>> me_poles;
+  for (Index i = 0; i <= n; ++i) me_poles.emplace_back(radius(0.3, 0.7), 0.0);
+  if (me == MeMode::kNearUnitCircle) me_poles[0] = {0.999, 0.0};
+  if (me == MeMode::kUnstable) me_poles[0] = {1.02, 0.0};
+  return SwitchedLoop(plant, ackermann(plant, tt_poles),
+                      ackermann(plant.augmented_delay_model(), me_poles));
+}
+
+TEST(Simulation, FastSettlingPathBitIdenticalOnSeededPlants) {
+  // n = 1..8 take the flattened path, n = 9 the Trace fallback. The ME
+  // modes cover a certified well-damped tail, a barely contracting one
+  // (rho ~ 0.999, whose certificate needs a long power search) and an
+  // unstable one (no certificate: the full horizon is simulated).
+  for (Index n = 1; n <= 9; ++n) {
+    for (const MeMode me :
+         {MeMode::kDamped, MeMode::kNearUnitCircle, MeMode::kUnstable}) {
+      const SwitchedLoop loop =
+          seeded_loop(n, me, 0x5E7713ull * static_cast<std::uint64_t>(n) +
+                                 static_cast<std::uint64_t>(me));
+      const double rho = linalg::spectral_radius(
+          switched_modes(loop.plant(), loop.kt(), loop.ke()).a_et);
+      const std::string label =
+          "n=" + std::to_string(n) + " me=" + std::to_string(int(me));
+      if (me == MeMode::kDamped) {
+        EXPECT_LT(rho, 0.75) << label;
+      } else {
+        EXPECT_NEAR(rho, me == MeMode::kUnstable ? 1.02 : 0.999, 1e-6)
+            << label;
+      }
+      int i = 0;
+      for (int wait : {0, 2, 7, 40}) {
+        for (int dwell : {0, 1, 4, 12}) {
+          const SettlingSpec spec{kSettlingTol, (i++ % 2) ? 3000 : 4000};
+          expect_fast_equals_trace(loop, wait, dwell, spec, label);
+        }
+      }
+    }
+  }
+}
+
+TEST(Simulation, ScheduleLongerThanHorizonNeverSettles) {
+  // A pattern whose mode schedule does not fit the horizon is "not
+  // settled within it", on the flattened path and the Trace fallback
+  // alike; a schedule that just fits is still simulated.
+  const casestudy::App app = casestudy::c5();
+  const SwitchedLoop loop(app.plant, app.kt, app.ke);
+  const SettlingSpec spec{kSettlingTol, 100};
+  EXPECT_EQ(loop.settling_of_pattern(101, 0, spec), std::nullopt);
+  EXPECT_EQ(loop.settling_of_pattern(100, 1, spec), std::nullopt);
+  EXPECT_EQ(loop.settling_of_pattern(0, 101, spec), std::nullopt);
+  EXPECT_EQ(loop.settling_of_pattern(99, 1, spec),
+            settling_samples(loop.simulate_pattern(99, 1, spec),
+                             spec.abs_tol));
+  const SwitchedLoop large = seeded_loop(9, MeMode::kDamped, 9);
+  EXPECT_EQ(large.settling_of_pattern(60, 41, spec), std::nullopt);
 }
 
 TEST(Simulation, MoreDwellNeverWorseForStablePair) {

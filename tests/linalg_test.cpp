@@ -5,6 +5,7 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "casestudy/apps.h"
@@ -14,6 +15,7 @@
 #include "linalg/lyap.h"
 #include "linalg/matrix.h"
 #include "linalg/solve.h"
+#include "support/splitmix64.h"
 
 namespace ttdim::linalg {
 namespace {
@@ -448,6 +450,112 @@ TEST(Lyap, HeapScratchCertificatesAreBitExact) {
     std::string bytes;
     append_canonical(bytes, res);
     EXPECT_EQ(digest(bytes), c.digest) << c.app.name << " n=" << c.n;
+  }
+}
+
+/// Seeded CQLF search input of size n. `family` picks the shape:
+///   1: a2 mixes a1 with its transpose, at a1's spectral radius;
+///   2: a2 is drawn independently of a1, at radius 0.3-0.6;
+///   3: a2 is a1 plus a skew-symmetric perturbation, at a1's radius.
+/// a1's spectral radius is drawn from [0.5, 0.99].
+std::pair<Matrix, Matrix> seeded_pair(int family, Index n, int k) {
+  support::SplitMix64 rng(support::splitmix64(
+      0xC0FFEEull + 7919ull * static_cast<std::uint64_t>(n) +
+      104729ull * static_cast<std::uint64_t>(k) +
+      1000003ull * static_cast<std::uint64_t>(family)));
+  const auto random = [&] {
+    Matrix m(n, n);
+    for (Index r = 0; r < n; ++r)
+      for (Index c = 0; c < n; ++c) m(r, c) = rng.symmetric_unit();
+    return m;
+  };
+  const auto with_radius = [](Matrix m, double rho) {
+    const double sr = spectral_radius(m);
+    if (sr > 0.0) m *= rho / sr;
+    return m;
+  };
+  const double rho = 0.5 + 0.49 * (0.5 + 0.5 * rng.symmetric_unit());
+  const Matrix a1 = with_radius(random(), rho);
+  if (family == 1) {
+    const double mu = 0.5 + 0.5 * rng.symmetric_unit();
+    return {a1, with_radius(a1 * (1.0 - mu) + a1.transpose() * mu, rho)};
+  }
+  const Matrix b = random();
+  if (family == 2) {
+    const double rho2 = 0.3 + 0.3 * (0.5 + 0.5 * rng.symmetric_unit());
+    return {a1, with_radius(b, rho2)};
+  }
+  return {a1, with_radius(a1 + (b - b.transpose()) * 0.2, rho)};
+}
+
+TEST(Lyap, SeededRandomPairsAreBitExact) {
+  // The Table-1 pairs only reach n = 2..4, so these seeded pairs pin the
+  // n = 5, 6 instantiations of the subgradient phase and its heap path
+  // (n = 7, 8). Per n: pairs the candidate phase certifies, pairs the
+  // subgradient phase certifies within a few hundred iterations and, for
+  // n <= 4, one it certifies only with the final check after the whole
+  // 40000-iteration budget. The seeds were picked for that mix and a
+  // short run time. The digests pin each certificate's canonical bytes as
+  // the one-matrix cyclic Jacobi method computes them, which the
+  // three-lane kernel must reproduce exactly.
+  const struct {
+    int family;
+    Index n;
+    int seed;
+    std::uint64_t digest;
+  } cases[] = {
+      {1, 2, 0, 0xf8c17ada5d74d2d3ull},
+      {1, 2, 1, 0x576df084eec0a49bull},
+      {1, 2, 2, 0x0dba00b20777f417ull},
+      {1, 2, 18, 0x2e30937d8ff29e43ull},
+      {1, 2, 148, 0x344b0df42ea0dde6ull},
+      {1, 2, 28, 0x0be6608ff0f99054ull},
+      {1, 3, 0, 0x135d339c7625fb4cull},
+      {1, 3, 2, 0x3c87ab849dc44886ull},
+      {3, 3, 15, 0x83eb83ec2eab79e9ull},
+      {1, 3, 199, 0x4d303c85b134f41aull},
+      {3, 3, 81, 0x2a57d06a5dd4d88aull},
+      {1, 3, 15, 0x3f83b5618181ced5ull},
+      {1, 4, 0, 0xf9624236a52d1c50ull},
+      {1, 4, 1, 0x28905614f6f88d84ull},
+      {2, 4, 78, 0x5e91545655ccee91ull},
+      {2, 4, 64, 0xe38d45ae711c04a5ull},
+      {3, 4, 33, 0xebcb279a0b24afa1ull},
+      {2, 4, 2, 0xfc26fbf8153f92b7ull},
+      {1, 5, 0, 0xa8f0427fa582cf8aull},
+      {1, 5, 1, 0x74ed87176051a5faull},
+      {1, 5, 158, 0xb42e587b21c9011cull},
+      {1, 5, 19, 0x6d11c92eef40bdddull},
+      {3, 5, 34, 0x883592cd6f5bfff4ull},
+      {3, 5, 52, 0xd704d12dd8e2930eull},
+      {1, 6, 0, 0x440ed542a54d1ab0ull},
+      {1, 6, 1, 0xdcc91c10bb9e183bull},
+      {3, 6, 85, 0xe14cbb377f43dc85ull},
+      {1, 6, 179, 0x40dfe38c5e53d37aull},
+      {2, 6, 97, 0x62cb1e7e311024f3ull},
+      {2, 6, 139, 0x93d152b632fdcd1dull},
+      {1, 7, 2, 0xdc7c587357038a38ull},
+      {1, 7, 3, 0x5b744cd7a2b040bdull},
+      {1, 7, 4, 0xc592a050c022a0b7ull},
+      {2, 7, 30, 0xa0407002ef52fefeull},
+      {2, 7, 183, 0x5c6bc230fb5f4401ull},
+      {2, 7, 43, 0xc56c4645cc565708ull},
+      {1, 8, 0, 0x23a248ae0cc75f88ull},
+      {1, 8, 1, 0x474257944c2debc7ull},
+      {3, 8, 185, 0xa33c1a952f52bee8ull},
+      {3, 8, 10, 0xc977df0b9db5e189ull},
+      {3, 8, 56, 0xbd980116084d8a6full},
+      {3, 8, 181, 0x598dfc134b68942dull},
+  };
+  static_assert(sizeof(cases) / sizeof(cases[0]) == 42, "six pairs per n");
+  for (const auto& c : cases) {
+    const auto [a1, a2] = seeded_pair(c.family, c.n, c.seed);
+    const CommonLyapunov res = find_common_lyapunov(a1, a2);
+    EXPECT_TRUE(res.found) << c.family << "/" << c.n << "/" << c.seed;
+    std::string bytes;
+    append_canonical(bytes, res);
+    EXPECT_EQ(digest(bytes), c.digest)
+        << c.family << "/" << c.n << "/" << c.seed;
   }
 }
 

@@ -2,9 +2,11 @@
 // including the paper's headline result: the proposed strategy packs the
 // six-application case study into 2 TT slots while the baseline [9]
 // analyses need 4 (a 50 % saving).
+#include <limits>
 #include <random>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "casestudy/apps.h"
 #include "core/dimensioning.h"
@@ -150,6 +152,58 @@ TEST(Solve, RejectsUnmeetableRequirement) {
   std::vector<AppSpec> specs{to_spec(casestudy::c1())};
   specs[0].settling_requirement = 3;  // below JT = 9
   EXPECT_THROW(static_cast<void>(core::solve(specs)), std::invalid_argument);
+}
+
+TEST(Solve, DegradationGridPastTheHorizonGivesAVerdict) {
+  // A nearly integrating scalar plant under a zero ME gain (JE = 3990):
+  // its degradation grid overruns the 4000-sample horizon. The solve
+  // completes; the pair is certified by its CQLF, not degradation-free.
+  const control::DiscreteLti plant(control::Matrix{{0.99902}},
+                                   control::Matrix{{1e-3}},
+                                   control::Matrix{{1.0}}, 0.02);
+  const std::vector<AppSpec> specs{{"S", plant, control::Matrix{{100.0}},
+                                    control::Matrix{{0.0, 0.0}}, 100, 50}};
+  const Solution solution = core::solve(specs);
+  ASSERT_EQ(solution.apps.size(), 1u);
+  EXPECT_FALSE(solution.apps[0].stability.degradation_free);
+  EXPECT_TRUE(solution.apps[0].stability.common_lyapunov);
+  EXPECT_EQ(solution.proposed.slots.size(), 1u);
+}
+
+TEST(Solve, DwellSearchPastTheHorizonEndsInInvalidArgument) {
+  // C5 with J* = 30 on a 100-sample horizon: the dwell search stops at
+  // wait 100 (T*w = 99), which C5's r = 25 cannot host.
+  std::vector<AppSpec> specs{to_spec(casestudy::c5())};
+  specs[0].settling_requirement = 30;
+  core::SolveOptions opt;
+  opt.settling = {0.02, 100};
+  EXPECT_THROW(static_cast<void>(core::solve(specs, opt)),
+               std::invalid_argument);
+}
+
+TEST(Solve, RejectsNonFiniteAndMisShapedGains) {
+  const auto expect_rejected = [](const AppSpec& spec) {
+    try {
+      static_cast<void>(core::solve({spec}));
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(spec.name), std::string::npos)
+          << e.what();
+    }
+  };
+  const AppSpec c5 = to_spec(casestudy::c5());
+  AppSpec spec = c5;
+  spec.kt(0, 0) = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(spec);
+  spec = c5;
+  spec.ke(0, 1) = std::numeric_limits<double>::infinity();
+  expect_rejected(spec);
+  spec = c5;
+  spec.ke = c5.kt;  // 1 x n instead of 1 x (n+1)
+  expect_rejected(spec);
+  spec = c5;
+  spec.kt = spec.kt.transpose();  // n x 1
+  expect_rejected(spec);
 }
 
 TEST(Solve, SlackAwarePolicyYieldsSamePartitionOnCaseStudy) {

@@ -75,6 +75,22 @@ TEST(ParallelDwellSearch, ThrowsLikeSerialOnUnmeetableRequirement) {
       std::invalid_argument);
 }
 
+TEST(ParallelDwellSearch, StopsLikeSerialWhereTheScheduleOverrunsTheHorizon) {
+  // Speculative rows past a 100-sample horizon are infeasible rows, not
+  // errors, so every thread count stops at the same wait as the serial
+  // search.
+  const casestudy::App app = casestudy::c5();
+  const control::SwitchedLoop loop(app.plant, app.kt, app.ke);
+  DwellAnalysisSpec spec = spec_of(app);
+  spec.settling_requirement = 30;
+  spec.settling.horizon = 100;
+  const DwellTables serial = switching::compute_dwell_tables(loop, spec);
+  EXPECT_EQ(serial.t_star_w, 99);
+  for (int threads : {2, 4, 7})
+    expect_identical(serial,
+                     compute_dwell_tables_parallel(loop, spec, threads));
+}
+
 TEST(DwellRow, AgreesWithAssembledTables) {
   const casestudy::App app = casestudy::c1();
   const control::SwitchedLoop loop(app.plant, app.kt, app.ke);

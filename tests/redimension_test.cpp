@@ -17,6 +17,7 @@
 // chosen because they are conflicts *under that bound* (the 4-app case
 // study first-fit already splits C3 into its own slot).
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -360,6 +361,43 @@ TEST(RedimensionTest, DeltaValidationRejectsMalformedDeltas) {
   core::Delta emptying;
   emptying.remove = {"C1", "C2", "C3"};
   expect_rejected(emptying);
+}
+
+TEST(RedimensionTest, NonFiniteAndMisShapedGainsAreRejected) {
+  // Session solve, additions and re-rates check every spec's gains before
+  // any analysis: kt 1 x n, ke 1 x (n+1), all entries finite.
+  const std::vector<core::AppSpec> specs = case_specs(3);
+  std::vector<core::AppSpec> bad_gains;
+  core::AppSpec spec = specs[1];
+  spec.kt(0, 0) = std::numeric_limits<double>::quiet_NaN();
+  bad_gains.push_back(spec);
+  spec = specs[1];
+  spec.ke(0, 1) = std::numeric_limits<double>::infinity();
+  bad_gains.push_back(spec);
+  spec = specs[1];
+  spec.ke = specs[1].kt;  // 1 x n instead of 1 x (n+1)
+  bad_gains.push_back(spec);
+
+  core::DimensioningSession session(base_options());
+  for (const core::AppSpec& bad : bad_gains) {
+    std::vector<core::AppSpec> population = specs;
+    population[1] = bad;
+    EXPECT_THROW((void)session.solve(population), std::invalid_argument);
+  }
+  EXPECT_FALSE(session.has_solution());
+
+  const core::Solution base = session.solve(specs);
+  for (core::AppSpec bad : bad_gains) {
+    core::Delta rerate;
+    rerate.rerate.push_back(bad);
+    EXPECT_THROW((void)session.redimension(rerate), std::invalid_argument);
+    bad.name = "C9";
+    core::Delta add;
+    add.add.push_back(bad);
+    EXPECT_THROW((void)session.redimension(add), std::invalid_argument);
+    EXPECT_EQ(engine::fingerprint(session.solution()),
+              engine::fingerprint(base));
+  }
 }
 
 }  // namespace

@@ -59,6 +59,22 @@ TEST(DwellSpec, RejectsRequirementBelowJT) {
   EXPECT_THROW(compute_dwell_tables(loop, spec), std::invalid_argument);
 }
 
+TEST(DwellSpec, SearchStopsWhereTheScheduleOverrunsTheHorizon) {
+  // C5 meets J* = 30 in ME alone (JE = 25), so every wait is feasible until
+  // the wait plus the shortest dwell no longer fits a 100-sample horizon.
+  // Such patterns do not settle within the horizon: the search stops at
+  // wait 100 instead of failing a simulation precondition.
+  const App app = casestudy::c5();
+  const SwitchedLoop loop(app.plant, app.kt, app.ke);
+  DwellAnalysisSpec spec = spec_for(app);
+  spec.settling_requirement = 30;
+  spec.settling.horizon = 100;
+  const DwellTables tables = compute_dwell_tables(loop, spec);
+  EXPECT_EQ(tables.settling_et, 25);
+  EXPECT_EQ(tables.t_star_w, 99);
+  EXPECT_EQ(tables.entries(), 100);
+}
+
 // ----------------------------------------------------- Table 1 anchoring --
 
 TEST(Table1, C1TimingValues) {
