@@ -122,7 +122,7 @@ BENCHMARK(BM_DiscreteS2)->Unit(benchmark::kMillisecond);
 
 void BM_DiscreteLarge(benchmark::State& state) {
   // The heap-fallback regime under the proof_threads sweep: 17
-  // applications (one past the packed cap) with staggered deadlines and
+  // applications (past the 5-app packed cap) with staggered deadlines and
   // a single-instance disturbance budget. The full space is intractable
   // — every state spawns ~2^16 disturbance subsets — so the proof is
   // budget-capped at 6 expansions: the root (the all-steady state, whose

@@ -99,17 +99,13 @@ struct SolveOptions {
   /// patterns but reuse the same plants pay the ~stability+dwell cost
   /// once instead of per job. nullptr gives the solve a private cache.
   std::shared_ptr<engine::analysis::AnalysisCache> analysis_cache;
-  /// Thread budget of the per-application analysis phase (stability +
-  /// dwell tables) and of the dwell-row search: 1 = serial (default),
-  /// 0 = hardware concurrency. Results are independent of this value.
-  int analysis_threads = 1;
   /// Thread budget of each discrete admission proof
   /// (verify::DiscreteVerifier::Options::proof_threads): 1 = serial
   /// (default), 0 = hardware concurrency. > 1 routes fresh full proofs
   /// to the Executor-parallel BFS driver; prefix-seeded extensions and
   /// witness/depth-first diagnostics stay serial (their discovery order
-  /// is part of their contract). Results are independent of this value
-  /// — like analysis_threads it is excluded from SolveKey.
+  /// is part of their contract). Results are independent of this value,
+  /// so it is excluded from SolveKey.
   int proof_threads = 1;
   /// Persistent second tier under the memory caches
   /// (engine/cache/disk_cache.h): analysis results and admission
@@ -178,7 +174,8 @@ void encode_solution(support::codec::Encoder& enc, const Solution& solution);
 
 /// Run the full pipeline. Throws std::invalid_argument when a requirement
 /// is unmeetable, a gain is mis-shaped (kt must be 1 x n, ke 1 x (n+1)) or
-/// non-finite, or (if required) a gain pair lacks switching stability.
+/// non-finite, a rate exceeds verify::DiscreteVerifier::kMaxInterarrival,
+/// or (if required) a gain pair lacks switching stability.
 /// One pass of a throwaway DimensioningSession (core/session.h) under
 /// the hood — long-lived callers that re-dimension under churn hold a
 /// session instead and call its solve()/redimension().

@@ -144,11 +144,12 @@ void place_app(Solution& solution, int idx,
   }
 }
 
-/// Reject gains no analysis may see: kt must be 1 x n, ke 1 x (n+1), and
-/// every entry finite. Without this a NaN gain reaches the eigensolver
-/// (which fails to converge), an infinite one yields a bogus "not
-/// switching stable", and a wrong shape trips a precondition deep inside.
-void check_gains(const AppSpec& spec, const char* where) {
+/// Reject specs no analysis may see: kt must be 1 x n, ke 1 x (n+1), every
+/// gain entry finite, and r within the verifier's byte counters. Without
+/// this a NaN gain reaches the eigensolver (which fails to converge), an
+/// infinite one yields a bogus "not switching stable", and a wrong shape
+/// or a slow rate trips a precondition deep inside.
+void check_spec(const AppSpec& spec, const char* where) {
   const control::Index n = spec.plant.n_states();
   const std::string prefix = std::string(where) + ": " + spec.name;
   if (spec.kt.rows() != 1 || spec.kt.cols() != n)
@@ -159,6 +160,10 @@ void check_gains(const AppSpec& spec, const char* where) {
                                 std::to_string(n + 1));
   if (!spec.kt.all_finite() || !spec.ke.all_finite())
     throw std::invalid_argument(prefix + " has a non-finite gain entry");
+  if (spec.min_interarrival > verify::DiscreteVerifier::kMaxInterarrival)
+    throw std::invalid_argument(
+        prefix + " has a min_interarrival above the limit of " +
+        std::to_string(verify::DiscreteVerifier::kMaxInterarrival));
 }
 
 }  // namespace
@@ -171,29 +176,17 @@ DimensioningSession::DimensioningSession(SolveOptions options)
 // Stability certificates and dwell tables are pure functions of the
 // plant/gain/spec tuple, so each app is answered by analyze_app — either
 // from the content-addressed AnalysisCache or computed fresh and
-// inserted; the result is byte-identical either way. Applications are
-// independent, so the phase runs through the deterministic parallel-for
-// (on the shared Executor pool): every app writes only its own slot and
-// the assembled vector is identical for any thread count. A failing app
-// propagates out of parallel_for_index, which fails fast when serial and
-// rethrows the lowest-index failure when concurrent — so every thread
-// count throws the first failing app in input order.
+// inserted; the result is byte-identical either way. Apps are analysed
+// in input order, so the first failing app is the one that throws.
 std::vector<AppSolution> DimensioningSession::stage_analysis(
     const std::vector<AppSpec>& specs, SolveStats& stats) const {
   engine::analysis::AnalysisCache& cache = *options_.analysis_cache;
   engine::cache::DiskCache* const disk = options_.disk_cache.get();
   const long evictions_before = cache.stats().evictions;
-  const int napps = static_cast<int>(specs.size());
-  const int resolved = engine::resolve_threads(options_.analysis_threads);
-  const int threads = std::min(resolved, napps);
-  const int row_threads = std::max(1, resolved / napps);
-  std::vector<std::optional<AppSolution>> analyzed(specs.size());
-  std::vector<double> stability_ms(specs.size(), 0.0);
-  std::vector<double> dwell_ms(specs.size(), 0.0);
-  std::vector<char> cache_hit(specs.size(), 0);
+  std::vector<AppSolution> apps;
+  apps.reserve(specs.size());
   const auto t_analysis = Clock::now();
-  engine::parallel_for_index(threads, napps, [&](int i) {
-    const AppSpec& spec = specs[static_cast<size_t>(i)];
+  for (const AppSpec& spec : specs) {
     engine::analysis::AppAnalysisSpec aspec;
     aspec.dwell.settling_requirement = spec.settling_requirement;
     aspec.dwell.settling = options_.settling;
@@ -201,10 +194,10 @@ std::vector<AppSolution> DimensioningSession::stage_analysis(
     aspec.stop_on_unstable = options_.require_switching_stability;
     const engine::analysis::AppAnalysisOutcome outcome =
         engine::analysis::analyze_app(spec.plant, spec.kt, spec.ke, aspec,
-                                      &cache, row_threads, disk);
-    stability_ms[static_cast<size_t>(i)] = outcome.stability_ms;
-    dwell_ms[static_cast<size_t>(i)] = outcome.dwell_ms;
-    cache_hit[static_cast<size_t>(i)] = outcome.cache_hit ? 1 : 0;
+                                      &cache, 1, disk);
+    stats.stability_ms += outcome.stability_ms;
+    stats.dwell_ms += outcome.dwell_ms;
+    ++(outcome.cache_hit ? stats.analysis_hits : stats.analysis_misses);
 
     AppSolution app{spec, {}, {}, outcome.result->stability};
     if (options_.require_switching_stability &&
@@ -222,18 +215,10 @@ std::vector<AppSolution> DimensioningSession::stage_analysis(
                                   " infeasible even with zero wait");
     app.timing = verify::make_app_timing(spec.name, app.tables,
                                          spec.min_interarrival);
-    analyzed[static_cast<size_t>(i)] = std::move(app);
-  });
+    apps.push_back(std::move(app));
+  }
   stats.analysis_ms += ms_since(t_analysis);
-  stats.analysis_threads = resolved;
-  for (double v : stability_ms) stats.stability_ms += v;
-  for (double v : dwell_ms) stats.dwell_ms += v;
-  for (char hit : cache_hit) (hit ? stats.analysis_hits : stats.analysis_misses)++;
   stats.analysis_evictions += cache.stats().evictions - evictions_before;
-  std::vector<AppSolution> apps;
-  apps.reserve(specs.size());
-  for (std::optional<AppSolution>& app : analyzed)
-    apps.push_back(std::move(*app));
   return apps;
 }
 
@@ -289,7 +274,7 @@ void DimensioningSession::stage_baselines(
 
 Solution DimensioningSession::solve(const std::vector<AppSpec>& specs) {
   TTDIM_EXPECTS(!specs.empty());
-  for (const AppSpec& spec : specs) check_gains(spec, "solve");
+  for (const AppSpec& spec : specs) check_spec(spec, "solve");
   support::MutexLock lock(mutex_);
   const auto t_solve = Clock::now();
   engine::cache::DiskCache* const disk = options_.disk_cache.get();
@@ -332,7 +317,7 @@ void DimensioningSession::validate_delta_locked(const Delta& delta) const {
     if (!rerated.insert(spec.name).second)
       throw std::invalid_argument("redimension: duplicate re-rate of " +
                                   spec.name);
-    check_gains(spec, "redimension");
+    check_spec(spec, "redimension");
   }
   std::unordered_set<std::string> added;
   for (const AppSpec& spec : delta.add) {
@@ -345,7 +330,7 @@ void DimensioningSession::validate_delta_locked(const Delta& delta) const {
     if (!added.insert(spec.name).second)
       throw std::invalid_argument("redimension: duplicate addition of " +
                                   spec.name);
-    check_gains(spec, "redimension");
+    check_spec(spec, "redimension");
   }
   if (present.size() - removed.size() + added.size() == 0)
     throw std::invalid_argument(
@@ -364,7 +349,6 @@ Solution DimensioningSession::redimension(const Delta& delta) {
   if (disk != nullptr) disk_before = disk->stats();
 
   SolveStats stats;
-  stats.analysis_threads = engine::resolve_threads(options_.analysis_threads);
   stats.proof_threads = proof_threads_;
 
   // Empty delta is the identity: the standing solution, byte-identical,
@@ -380,7 +364,7 @@ Solution DimensioningSession::redimension(const Delta& delta) {
   validate_delta_locked(delta);
 
   // Analysis for re-rates and additions runs up front (one stage pass,
-  // same parallel fan-out and caches as a fresh solve), so an unmeetable
+  // same caches as a fresh solve), so an unmeetable
   // requirement throws before the standing solution is touched.
   std::vector<AppSpec> fresh_specs;
   fresh_specs.reserve(delta.rerate.size() + delta.add.size());

@@ -87,9 +87,8 @@ class DimensioningSession {
   /// assembly); the result becomes the standing solution. Byte-identical
   /// to the pre-session core::solve for the same options (which is now
   /// exactly one pass of a throwaway session). Throws
-  /// std::invalid_argument like solve() on unmeetable requirements and on
-  /// a mis-shaped or non-finite gain (kt must be 1 x n, ke 1 x (n+1));
-  /// the standing solution is untouched on throw.
+  /// std::invalid_argument on every input core::solve() rejects; the
+  /// standing solution is untouched on throw.
   [[nodiscard]] Solution solve(const std::vector<AppSpec>& specs);
 
   /// Apply `delta` to the standing solution (solve() must have
@@ -98,10 +97,9 @@ class DimensioningSession {
   /// The updated solution becomes the standing solution and is returned.
   /// An empty delta is the identity (byte-identical standing solution,
   /// fresh stats). Throws std::invalid_argument on unknown/duplicate
-  /// names, on a delta that empties the population, on a re-rated or
-  /// added spec with mis-shaped or non-finite gains, or on an unmeetable
-  /// re-rate/addition requirement — the standing solution is untouched
-  /// on throw. A re-dimensioned assignment is history-dependent,
+  /// names, on a delta that empties the population, or on a re-rated or
+  /// added spec core::solve() would reject — the standing solution is
+  /// untouched on throw. A re-dimensioned assignment is history-dependent,
   /// generally not what a fresh solve of the same population would
   /// produce.
   [[nodiscard]] Solution redimension(const Delta& delta);

@@ -14,8 +14,9 @@ AppAnalysisKey AppAnalysisKey::of(const control::DiscreteLti& plant,
   key.canonical += "ke=";
   linalg::append_canonical_bits(key.canonical, ke);
   switching::append_canonical(key.canonical, spec.dwell);
+  // Always the default grid spec, spelled out so persisted keys stay put.
   key.canonical += "stab:";
-  control::append_canonical(key.canonical, spec.stability_settling);
+  control::append_canonical(key.canonical, control::SettlingSpec{});
   key.canonical += spec.stop_on_unstable ? "stop=1" : "stop=0";
 
   // FNV-1a, as in SlotConfigKey: equality re-checks the canonical string,

@@ -23,12 +23,9 @@ namespace ttdim::engine::analysis {
 
 /// Parameters of the per-application analysis beyond the plant and gains.
 struct AppAnalysisSpec {
-  /// Requirement, settling spec, granularity and caps of the dwell-table
-  /// search (switching::compute_dwell_tables).
+  /// Requirement, settling spec and granularity of the dwell-table search
+  /// (switching::compute_dwell_tables).
   switching::DwellAnalysisSpec dwell;
-  /// Grid spec of the switching-stability degradation test — the
-  /// `settling` argument of control::check_switching_stability.
-  control::SettlingSpec stability_settling{};
   /// Mirror of SolveOptions::require_switching_stability: when true the
   /// analysis stops at a non-switching-stable pair and never computes
   /// dwell tables. Key-relevant — it decides whether a cached result

@@ -5,8 +5,8 @@
 // bit-identical to the serial loop — workers steal the next unclaimed
 // job index from the batch's cursor, and every result is written to its
 // job's slot, preserving input order regardless of completion order.
-// Because the pool is shared, a solve's own analysis fan-out
-// (SolveOptions::analysis_threads) rides the same threads instead of
+// Because the pool is shared, a solve's own parallel proofs
+// (SolveOptions::proof_threads) ride the same threads instead of
 // spawning more on top of the batch's.
 //
 // Concurrency contract: BatchRunner itself is immutable after

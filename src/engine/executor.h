@@ -1,10 +1,9 @@
 // Persistent work-stealing executor: one lazily-started worker pool
 // shared by every parallel construct in the process. BatchRunner batches
-// and core::solve's intra-solve analysis fan-out all submit here, so
-// nested parallelism shares one bounded set of threads instead of each
-// layer spawning its own (the per-batch std::thread spawning this
-// replaces oversubscribed as soon as per-job cost dropped toward spawn
-// overhead).
+// and the verifier's parallel proofs all submit here, so nested
+// parallelism shares one bounded set of threads instead of each layer
+// spawning its own (the per-batch std::thread spawning this replaces
+// oversubscribed as soon as per-job cost dropped toward spawn overhead).
 //
 // Scheduling model: each run() is a job with its own atomic index cursor
 // — the per-job task queue. The submitting thread always works its own

@@ -622,6 +622,42 @@ void run_iteration(long it, const FuzzConfig& config, FamilyCaches& family,
   for (const auto& o : oracles) aggregate_tiers(*o, report);
 }
 
+void note_disagreement(const char* check, long it, const std::string& what,
+                       FuzzReport& report) {
+  ++report.disagreements;
+  std::ostringstream line;
+  line << check << " check at iteration " << it << ": " << what;
+  report.disagreement_summaries.push_back(line.str());
+}
+
+/// The rate boundary: `specs` with one app's r drawn past the verifier's
+/// limit must be rejected with a std::invalid_argument naming that app and
+/// the limit, even when the population is invalid for another reason too.
+void check_rate_boundary(long it, std::vector<core::AppSpec> specs,
+                         const core::SolveOptions& options,
+                         std::mt19937_64& rng, FuzzReport& report) {
+  const int limit = verify::DiscreteVerifier::kMaxInterarrival;
+  core::AppSpec& app = specs[static_cast<std::size_t>(
+      pick(rng, 0, static_cast<int>(specs.size()) - 1))];
+  app.min_interarrival = pick(rng, limit + 1, 1000);
+  ++report.boundary_checks;
+  std::string outcome = "returned a solution";
+  try {
+    static_cast<void>(core::solve(specs, options));
+  } catch (const std::invalid_argument& e) {
+    outcome = e.what();
+    if (outcome.find(app.name) != std::string::npos &&
+        outcome.find(std::to_string(limit)) != std::string::npos)
+      return;
+  } catch (const std::logic_error&) {
+    outcome = "threw std::logic_error";  // e.what() carries a source path
+  }
+  note_disagreement("boundary", it,
+                    app.name + " at r = " +
+                        std::to_string(app.min_interarrival) + ": " + outcome,
+                    report);
+}
+
 /// Every solve_every-th iteration: the full pipeline on perturbed
 /// case-study specs, solved under toggled SolveOptions. Fingerprints (or
 /// thrown requirement errors) must agree byte for byte, and every proposed
@@ -669,7 +705,6 @@ void run_solve_check(long it, const FuzzConfig& config, FamilyCaches& family,
     core::SolveOptions o = base;
     o.verdict_cache = family.verdicts;
     o.snapshot_cache = family.snapshots;
-    o.analysis_threads = 0;
     // Fresh admission proofs on the parallel BFS driver (explicit 2, not
     // 0: hardware concurrency may resolve to 1 on small CI boxes, which
     // would silently drop the parallel path from the fingerprint check).
@@ -691,15 +726,13 @@ void run_solve_check(long it, const FuzzConfig& config, FamilyCaches& family,
     }
   }
   for (std::size_t c = 1; c < outcomes.size(); ++c) {
-    if (outcomes[c] != outcomes[0]) {
-      ++report.disagreements;
-      std::ostringstream line;
-      line << "solve check at iteration " << it
-           << ": fingerprint mismatch (reference vs " << variants[c].first
-           << ")";
-      report.disagreement_summaries.push_back(line.str());
-    }
+    if (outcomes[c] != outcomes[0])
+      note_disagreement("solve", it,
+                        std::string("fingerprint mismatch (reference vs ") +
+                            variants[c].first + ")",
+                        report);
   }
+  check_rate_boundary(it, specs, base, rng, report);
 
   if (!solution) return;
   verify::DiscreteVerifier::Options vopt;
@@ -749,14 +782,6 @@ std::vector<std::vector<std::string>> slot_names_of(
     names.push_back(std::move(members));
   }
   return names;
-}
-
-void note_churn_disagreement(long it, const std::string& what,
-                             FuzzReport& report) {
-  ++report.disagreements;
-  std::ostringstream line;
-  line << "churn check at iteration " << it << ": " << what;
-  report.disagreement_summaries.push_back(line.str());
 }
 
 /// Every solve_every-th iteration, alongside run_solve_check: the online
@@ -881,8 +906,8 @@ void run_churn_check(long it, const FuzzConfig& config, FamilyCaches& family,
     try {
       next = session.redimension(delta);
     } catch (const std::exception& e) {
-      note_churn_disagreement(
-          it,
+      note_disagreement(
+          "churn", it,
           std::string("redimension threw on a well-formed ") +
               churn_event_kind_name(event.kind) + " delta: " + e.what(),
           report);
@@ -894,15 +919,15 @@ void run_churn_check(long it, const FuzzConfig& config, FamilyCaches& family,
     if (stats.redimension_removals + stats.redimension_refits +
             stats.redimension_new_slots !=
         stats.redimension_events)
-      note_churn_disagreement(it, "redimension counters do not balance",
-                              report);
+      note_disagreement("churn", it, "redimension counters do not balance",
+                        report);
 
     if (event.kind == ChurnEventKind::kRemove) {
       // Removal-only deltas are proof-free and byte-identical on the
       // remaining slots.
       if (stats.oracle_calls != 0 || stats.verifier_states != 0)
-        note_churn_disagreement(
-            it, "removal-only delta generated oracle traffic", report);
+        note_disagreement(
+            "churn", it, "removal-only delta generated oracle traffic", report);
       std::vector<std::vector<std::string>> expected = before;
       for (std::vector<std::string>& slot : expected)
         slot.erase(std::remove(slot.begin(), slot.end(), specs[a].name),
@@ -914,8 +939,9 @@ void run_churn_check(long it, const FuzzConfig& config, FamilyCaches& family,
                          }),
           expected.end());
       if (slot_names_of(next) != expected)
-        note_churn_disagreement(
-            it, "removal-only delta changed the remaining slots", report);
+        note_disagreement("churn", it,
+                          "removal-only delta changed the remaining slots",
+                          report);
     }
 
     // Fresh admission proof per proposed slot: the standing assignment
@@ -931,8 +957,8 @@ void run_churn_check(long it, const FuzzConfig& config, FamilyCaches& family,
         continue;
       }
       if (!fresh->safe)
-        note_churn_disagreement(
-            it,
+        note_disagreement(
+            "churn", it,
             "standing slot " + std::to_string(s) +
                 " fails its fresh admission proof after a " +
                 churn_event_kind_name(event.kind) + " delta",
@@ -958,15 +984,15 @@ void run_churn_check(long it, const FuzzConfig& config, FamilyCaches& family,
           mine->timing.t_minus != app.timing.t_minus ||
           mine->timing.t_plus != app.timing.t_plus ||
           mine->timing.min_interarrival != app.timing.min_interarrival) {
-        note_churn_disagreement(
-            it,
+        note_disagreement(
+            "churn", it,
             "from-scratch solve analysis differs for " + app.spec.name,
             report);
       }
     }
   } catch (const std::invalid_argument& e) {
-    note_churn_disagreement(
-        it,
+    note_disagreement(
+        "churn", it,
         std::string("from-scratch solve of the churned population threw: ") +
             e.what(),
         report);
@@ -1035,8 +1061,10 @@ std::vector<std::string> FuzzReport::missing_coverage() const {
     if (count == 0) missing.push_back(std::string("tier:") + name);
   if (disk_enabled && disk_hits == 0) missing.push_back("tier:disk");
   if (parallel_checks == 0) missing.push_back("config:parallel");
-  if (redimension_expected && redimension_checks == 0)
+  if (solve_checks_expected && redimension_checks == 0)
     missing.push_back("config:redimension");
+  if (solve_checks_expected && boundary_checks == 0)
+    missing.push_back("config:boundary");
   std::vector<std::string> kinds;
   for (const ScenarioKind kind : kAllScenarioKinds)
     kinds.emplace_back(scenario_kind_name(kind));
@@ -1066,6 +1094,7 @@ std::string FuzzReport::to_string() const {
   out << "tier fresh " << fresh_proofs << "\n";
   if (disk_enabled) out << "tier disk " << disk_hits << "\n";
   out << "parallel_checks " << parallel_checks << "\n";
+  out << "boundary_checks " << boundary_checks << "\n";
   out << "redimension_checks " << redimension_checks << "\n";
   out << "redimension_events " << redimension_events << "\n";
   for (const auto& [kind, count] : scenario_kind_counts)
@@ -1089,7 +1118,7 @@ FuzzReport run_soundness_fuzz(const FuzzConfig& config) {
     family.disk = std::make_shared<cache::DiskCache>(config.disk_cache_dir);
     report.disk_enabled = true;
   }
-  report.redimension_expected = config.solve_every > 0;
+  report.solve_checks_expected = config.solve_every > 0;
   const auto start = std::chrono::steady_clock::now();
   for (long it = 0; it < config.iterations; ++it) {
     if (config.max_seconds > 0) {

@@ -29,7 +29,8 @@
 //   5. every solve_every-th iteration, runs the full core::solve pipeline
 //      on perturbed case-study specs under toggled SolveOptions and
 //      requires byte-identical fingerprints, then co-simulates the
-//      proposed slots; on the same cadence it walks a generated
+//      proposed slots (and requires a rate past the verifier's limit to be
+//      rejected); on the same cadence it walks a generated
 //      ChurnTrace through a DimensioningSession (core/session.h),
 //      cross-checking every redimensioned standing solution against
 //      fresh admission proofs (removal-only deltas additionally against
@@ -137,9 +138,13 @@ struct FuzzReport {
   /// Deltas applied across all churn walks (each walk applies one delta
   /// per usable trace event).
   long redimension_events = 0;
-  /// Whether the campaign configuration put churn walks on the schedule
-  /// (solve_every > 0) — only then is their absence a coverage gap.
-  bool redimension_expected = false;
+  /// Rate-boundary probes, one per solve check: its population with one
+  /// r past verify::DiscreteVerifier::kMaxInterarrival must be rejected.
+  /// Zero while expected is a coverage gap ("config:boundary").
+  long boundary_checks = 0;
+  /// Whether the campaign put solve checks and churn walks on the
+  /// schedule (solve_every > 0) — only then is their absence a gap.
+  bool solve_checks_expected = false;
 
   /// Simulated scenarios by kind name (the seven ScenarioGenerator kinds
   /// plus "hyperperiod" and "witness").

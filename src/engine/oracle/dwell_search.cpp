@@ -31,7 +31,7 @@ switching::DwellTables compute_dwell_tables_parallel(
   // that the speculation past the serial search's stopping row stays
   // bounded.
   std::vector<int> waits;
-  for (int wait = 0; wait <= spec.max_wait; wait += spec.tw_granularity)
+  for (int wait = 0; wait <= switching::kMaxWait; wait += spec.tw_granularity)
     waits.push_back(wait);
   const int chunk = 2 * workers;
 

@@ -58,7 +58,6 @@ SolveStats operator+(const SolveStats& a, const SolveStats& b) {
       a.redimension_conflicts + b.redimension_conflicts;
   out.redimension_new_slots =
       a.redimension_new_slots + b.redimension_new_slots;
-  out.analysis_threads = std::max(a.analysis_threads, b.analysis_threads);
   out.proof_threads = std::max(a.proof_threads, b.proof_threads);
   return out;
 }

@@ -22,12 +22,9 @@ struct SolveStats {
   // Time per phase, milliseconds. stability_ms and dwell_ms are the
   // *cold* analysis cost: they sum the per-application compute durations
   // of analysis-cache misses only (hits cost microseconds and report
-  // zero), so with analysis_threads > 1 they are aggregate busy time
-  // (can exceed total_ms); they equal the cold phase wall time in the
-  // default serial configuration. analysis_ms is the wall time of the
-  // whole per-app phase, warm or cold — the warm/cold split is
-  // analysis_ms vs (stability_ms + dwell_ms). mapping_ms, baseline_ms
-  // and total_ms are always wall time.
+  // zero). analysis_ms is the wall time of the whole per-app phase, warm
+  // or cold — the warm/cold split is analysis_ms vs (stability_ms +
+  // dwell_ms). mapping_ms, baseline_ms and total_ms are wall time too.
   double analysis_ms = 0.0;   ///< per-app phase wall time (cache incl.)
   double stability_ms = 0.0;  ///< switching-stability checks (misses only)
   double dwell_ms = 0.0;      ///< dwell-table searches (misses only)
@@ -92,14 +89,13 @@ struct SolveStats {
   long redimension_conflicts = 0;
   long redimension_new_slots = 0;
 
-  int analysis_threads = 1;   ///< thread budget of the per-app phase
   int proof_threads = 1;      ///< thread budget per admission proof
 
   /// One-line human-readable form for benches and logs.
   [[nodiscard]] std::string summary() const;
 };
 
-/// Element-wise sum of the counters and times (thread counts keep the
+/// Element-wise sum of the counters and times (the thread count keeps the
 /// maximum) — BatchRunner-level aggregation.
 [[nodiscard]] SolveStats operator+(const SolveStats& a, const SolveStats& b);
 

@@ -15,7 +15,7 @@ namespace {
 std::vector<std::optional<int>> settling_versus_dwell(
     const SwitchedLoop& loop, int wait, const DwellAnalysisSpec& spec) {
   std::vector<std::optional<int>> out;
-  for (int dwell = 0; dwell <= spec.max_dwell; ++dwell) {
+  for (int dwell = 0; dwell <= kMaxDwell; ++dwell) {
     const std::optional<int> j =
         loop.settling_of_pattern(wait, dwell, spec.settling);
     out.push_back(j);
@@ -67,9 +67,9 @@ void append_canonical(std::string& out, const DwellAnalysisSpec& spec) {
   out += "g=";
   out += std::to_string(spec.tw_granularity);
   out += ";w<=";
-  out += std::to_string(spec.max_wait);
+  out += std::to_string(kMaxWait);
   out += ";d<=";
-  out += std::to_string(spec.max_dwell);
+  out += std::to_string(kMaxDwell);
   out += ';';
 }
 
@@ -197,7 +197,7 @@ DwellTables compute_dwell_tables(const SwitchedLoop& loop,
   tables.settling_tt = endpoints.settling_tt;
   tables.settling_et = endpoints.settling_et;
 
-  for (int wait = 0; wait <= spec.max_wait; wait += spec.tw_granularity) {
+  for (int wait = 0; wait <= kMaxWait; wait += spec.tw_granularity) {
     const std::optional<DwellRow> row = compute_dwell_row(loop, wait, spec);
     if (!row.has_value()) break;  // this and larger waits are infeasible
     tables.t_star_w = wait;

@@ -19,6 +19,10 @@ namespace ttdim::switching {
 using control::SettlingSpec;
 using control::SwitchedLoop;
 
+/// Hard caps guarding against requirements that can never be met.
+constexpr int kMaxWait = 512;
+constexpr int kMaxDwell = 512;
+
 /// Parameters of the dwell-time analysis.
 struct DwellAnalysisSpec {
   int settling_requirement = 0;  ///< J*, in samples; must be > 0
@@ -27,9 +31,6 @@ struct DwellAnalysisSpec {
   /// can choose Tw with a certain granularity to enhance scalability";
   /// granularity > 1 trades conservativeness for table size).
   int tw_granularity = 1;
-  /// Hard caps guarding against requirements that can never be met.
-  int max_wait = 512;
-  int max_dwell = 512;
 };
 
 /// Dwell-time tables of one application. Indices of `t_minus` / `t_plus` /

@@ -39,13 +39,13 @@ struct AppState {
 };
 
 /// State-representation policy: the search below is written once against
-/// this shape and instantiated per key capacity.
-template <size_t KeyCap>
+/// this shape and instantiated for the packed and the heap-backed key.
 struct PackedShape {
-  using Key = SmallKey<KeyCap>;
+  using Key = SmallKey;
   using State = std::array<AppState, DiscreteVerifier::kMaxApps>;
-  /// Most applications this key capacity can pack (3 bytes per app).
-  static constexpr size_t kKeyApps = KeyCap / 3;
+  /// Most applications the key can pack (3 bytes per app).
+  static constexpr size_t kKeyApps = SmallKey::kCap / 3;
+  static_assert(kKeyApps == DiscreteVerifier::kMaxApps);
   static State blank(size_t) { return State{}; }
   static Key make_key(size_t len) {
     Key k;
@@ -126,7 +126,7 @@ struct Probe {
 /// Two interior paths:
 ///  - expand_fast(): the kPaper no-witness hot path. Works directly on
 ///    the packed key bytes — encode the post-elapse base once, then each
-///    disturbance subset is a word-level copy of that 16/48-byte
+///    disturbance subset is a word-level copy of that 16-byte
 ///    encoding plus popcount-many byte patches, and grants patch two
 ///    more bytes. No AppState walk, no re-encode, no per-successor
 ///    dispatch: the inner loops are straight-line copies and table
@@ -823,10 +823,8 @@ DiscreteVerifier::DiscreteVerifier(std::vector<AppTiming> apps)
         "is intractable long before this bound)");
   for (const AppTiming& a : apps_) {
     a.validate();
-    // Every representation stores counters in bytes.
-    TTDIM_EXPECTS(a.min_interarrival < 250);
-    TTDIM_EXPECTS(a.t_star_w + a.t_plus[static_cast<size_t>(a.t_star_w)] <
-                  250);
+    // Every representation stores counters in bytes; r bounds them all.
+    TTDIM_EXPECTS(a.min_interarrival <= kMaxInterarrival);
   }
 }
 
@@ -848,14 +846,11 @@ SlotVerdict DiscreteVerifier::verify(const Options& options,
     TTDIM_EXPECTS(!options.want_witness && !options.depth_first);
     if (options.backend == StateBackend::kUnpacked || napps > kMaxApps)
       return run_parallel<HeapShape>(apps_, options);
-    if (3 * napps <= 16) return run_parallel<PackedShape<16>>(apps_, options);
-    return run_parallel<PackedShape<48>>(apps_, options);
+    return run_parallel<PackedShape>(apps_, options);
   }
   if (options.backend == StateBackend::kUnpacked || napps > kMaxApps)
     return run_search<HeapShape>(apps_, options, extend_from, capture);
-  if (3 * napps <= 16)
-    return run_search<PackedShape<16>>(apps_, options, extend_from, capture);
-  return run_search<PackedShape<48>>(apps_, options, extend_from, capture);
+  return run_search<PackedShape>(apps_, options, extend_from, capture);
 }
 
 void encode(support::codec::Encoder& enc, const SlotVerdict& verdict) {

@@ -106,20 +106,23 @@ struct ExplorationState {
 class DiscreteVerifier {
  public:
   /// Cap on applications for the allocation-free packed state
-  /// representation (fixed 3-bytes-per-app keys). Larger populations fall
-  /// back to a heap-backed state encoding — same search, same verdicts,
-  /// slower per state — so oversized generated scenarios solve instead of
-  /// throwing.
-  static constexpr std::size_t kMaxApps = 16;
+  /// representation (3 bytes per app in one 16-byte key). Larger
+  /// populations fall back to a heap-backed state encoding — same search,
+  /// same verdicts, slower per state — so oversized generated scenarios
+  /// solve instead of throwing.
+  static constexpr std::size_t kMaxApps = 5;
   /// Absolute cap: beyond this the 2^napps disturbance branching is
   /// intractable under any representation and the constructor refuses.
   static constexpr std::size_t kMaxAppsUnpacked = 62;
+  /// Largest min inter-arrival r (samples) the constructor accepts: states
+  /// count samples in bytes, and AppTiming::validate bounds the rest by r.
+  static constexpr int kMaxInterarrival = 249;
 
   /// State-representation override for tests: kAuto picks the packed
-  /// encoding sized to the population (heap beyond kMaxApps); kUnpacked
-  /// forces the heap fallback. Verdicts are identical by construction —
-  /// the equality is pinned by tests/discrete_large_test.cpp — so this
-  /// never enters the oracle layer's cache keys.
+  /// encoding (heap beyond kMaxApps); kUnpacked forces the heap fallback.
+  /// Verdicts are identical by construction — the equality is pinned by
+  /// tests/discrete_large_test.cpp — so this never enters the oracle
+  /// layer's cache keys.
   enum class StateBackend { kAuto, kUnpacked };
 
   struct Options {

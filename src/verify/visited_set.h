@@ -26,22 +26,17 @@ namespace ttdim::verify::detail {
 constexpr std::size_t round8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
 
 /// Fixed-capacity dedup key: three bytes per application (mode and
-/// disturbance budget share a byte), zero-padded to the capacity so
-/// hashing reads whole 8-byte words without touching the heap. Two
-/// capacities are instantiated: 16 bytes covers up to 5 applications (the
-/// hot mapping-walk probes — halving the key keeps the visited table and
-/// queue cache-resident far longer), 48 bytes covers the full packed cap
-/// of DiscreteVerifier::kMaxApps.
-template <std::size_t Cap>
+/// disturbance budget share a byte) for up to DiscreteVerifier::kMaxApps
+/// = 5 applications, zero-padded to 16 bytes so hashing reads whole words
+/// and the visited table and queue stay cache-resident.
 struct SmallKey {
-  static_assert(Cap % 8 == 0, "hashing reads whole 8-byte words");
-  std::array<std::uint8_t, Cap> bytes{};
+  static constexpr std::size_t kCap = 16;
+  std::array<std::uint8_t, kCap> bytes{};
   std::uint8_t len = 0;  ///< 0 marks an empty visited-table slot
 
-  /// Small capacities hash the whole (zero-padded) array: the trip count
-  /// becomes a compile-time constant and padded words mix in nothing but
-  /// zeros. Larger capacities hash only the occupied words.
-  static constexpr std::size_t kFixedHashSpan = Cap <= 16 ? Cap : 0;
+  /// The whole (zero-padded) array is hashed: the trip count is a
+  /// compile-time constant and padded words mix in nothing but zeros.
+  static constexpr std::size_t kFixedHashSpan = kCap;
 
   [[nodiscard]] const std::uint8_t* data() const noexcept {
     return bytes.data();
@@ -54,19 +49,19 @@ struct SmallKey {
     // padding beyond len is zero on both sides, so it never flips the
     // answer for keys of equal length (all keys of one run share len).
     return a.len == b.len &&
-           std::memcmp(a.bytes.data(), b.bytes.data(), Cap) == 0;
+           std::memcmp(a.bytes.data(), b.bytes.data(), kCap) == 0;
   }
   friend bool operator!=(const SmallKey& a, const SmallKey& b) {
     return !(a == b);
   }
 };
 
-/// Heap-backed key for populations beyond the packed cap (> kMaxApps
-/// applications): same 3-bytes-per-app layout, storage rounded up to whole
-/// words and zero-padded so the shared hash loop applies unchanged. This
-/// is the compatibility fallback — per-state allocation is acceptable
-/// because the disturbance branching dominates long before key traffic
-/// does at such sizes.
+/// Heap-backed key for populations beyond the packed cap (6 to
+/// kMaxAppsUnpacked applications): same 3-bytes-per-app layout, storage
+/// rounded up to whole words and zero-padded so the shared hash loop
+/// applies unchanged. This is the fallback for larger populations —
+/// per-state allocation is acceptable because the disturbance branching
+/// dominates long before key traffic does at such sizes.
 struct HeapKey {
   std::vector<std::uint8_t> bytes;  ///< size == round8(len), zero-padded
   std::uint16_t len = 0;

@@ -1,14 +1,17 @@
 // The content-addressed analysis layer (engine/analysis): key
-// canonicalization (equal inputs collide, perturbed inputs never),
-// byte-budgeted LRU eviction, concurrent access, and the property the
-// whole layer rests on — cached analysis results being bit-identical to
-// freshly computed ones, from single apps up to whole solve
-// fingerprints (serial and parallel).
+// canonicalization (equal inputs collide, perturbed inputs never, the
+// Table-1 keys keep their bytes), byte-budgeted LRU eviction, concurrent
+// access, and the property the whole layer rests on — cached analysis
+// results being bit-identical to freshly computed ones, from single apps
+// up to whole solve fingerprints (serial and parallel).
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "casestudy/apps.h"
@@ -96,6 +99,32 @@ TEST(AppAnalysisKey, PerturbedInputsNeverCollide) {
     spec = spec_for(app);
     spec.stop_on_unstable = false;
     EXPECT_NE(original, AppAnalysisKey::of(app.plant, app.kt, app.ke, spec));
+  }
+}
+
+TEST(AppAnalysisKey, TableOneKeysAreByteStable) {
+  // Persisted analysis entries are addressed by these hashes (a restored
+  // disk-cache directory must stay warm), so the key's bytes may not
+  // drift. The spec is the one a default-options solve derives.
+  const core::SolveOptions defaults;
+  const std::pair<const char*, std::uint64_t> expected[] = {
+      {"C1", 0xce3c008b571f40ecull}, {"C2", 0x3d115c3c43342fe0ull},
+      {"C3", 0xb514b19cebc2ea9eull}, {"C4", 0xa9a4ed967fbf3728ull},
+      {"C5", 0x2a8e4ce192450bd2ull}, {"C6", 0x18053291416f4202ull},
+  };
+  const std::vector<casestudy::App> apps = casestudy::all_apps();
+  ASSERT_EQ(apps.size(), std::size(expected));
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    const casestudy::App& app = apps[i];
+    AppAnalysisSpec spec;
+    spec.dwell.settling_requirement = app.settling_requirement;
+    spec.dwell.settling = defaults.settling;
+    spec.dwell.tw_granularity = defaults.tw_granularity;
+    spec.stop_on_unstable = defaults.require_switching_stability;
+    EXPECT_EQ(app.name, expected[i].first);
+    EXPECT_EQ(AppAnalysisKey::of(app.plant, app.kt, app.ke, spec).hash,
+              expected[i].second)
+        << app.name;
   }
 }
 
@@ -263,13 +292,14 @@ std::vector<core::AppSpec> three_app_system() {
 
 TEST(AnalysisSolve, SerialAndParallelFingerprintIdentically) {
   // The acceptance property: byte-identical fingerprints serial and
-  // parallel (the parallel run also exercises the executor-backed
-  // analysis fan-out). Cache-versus-fresh bit identity is pinned at the
-  // analyze_app level (AppAnalysis.CachedResultBitIdenticalToFresh).
+  // parallel (the parallel run proves its fresh admissions with the
+  // executor-backed parallel BFS). Cache-versus-fresh bit identity is
+  // pinned at the analyze_app level
+  // (AppAnalysis.CachedResultBitIdenticalToFresh).
   const std::vector<core::AppSpec> specs = three_app_system();
   core::SolveOptions serial;  // private analysis cache
   core::SolveOptions parallel = serial;
-  parallel.analysis_threads = 4;
+  parallel.proof_threads = 4;
 
   const core::Solution a = core::solve(specs, serial);
   const core::Solution b = core::solve(specs, parallel);
@@ -283,8 +313,8 @@ TEST(AnalysisSolve, SerialAndParallelFingerprintIdentically) {
 
 TEST(AnalysisSolve, FirstFailingAppInInputOrderThrowsAtEveryThreadCount) {
   // Apps 1 and 3 are unmeetable for different reasons; whatever the
-  // thread budget, the solve reports app 1's — serial runs fail fast,
-  // concurrent ones rethrow the lowest-index failure.
+  // thread budget, the solve reports app 1's — the analysis stage walks
+  // the apps in input order and fails fast.
   std::vector<core::AppSpec> specs = three_app_system();
   specs.push_back(spec_of(casestudy::c6(), 120));
   specs[1].settling_requirement = 0;
@@ -292,7 +322,7 @@ TEST(AnalysisSolve, FirstFailingAppInInputOrderThrowsAtEveryThreadCount) {
   const auto error_of = [](const std::vector<core::AppSpec>& population,
                            int threads) -> std::string {
     core::SolveOptions options;
-    options.analysis_threads = threads;
+    options.proof_threads = threads;
     try {
       static_cast<void>(core::solve(population, options));
     } catch (const std::invalid_argument& e) {

@@ -12,7 +12,7 @@
 #include "verify/visited_set.h"
 
 int main() {
-  using Key = ttdim::verify::detail::SmallKey<16>;
+  using Key = ttdim::verify::detail::SmallKey;
   ttdim::verify::detail::StripedVisitedSet<Key> visited;
   Key key;
   key.len = 3;

@@ -1,9 +1,9 @@
-// DiscreteVerifier beyond the packed cap and across state backends: >16
-// applications must solve (heap fallback) instead of throwing, the packed
-// and unpacked encodings must be observably identical, and the
-// prefix-extension entry point must reproduce from-scratch results
-// byte-for-byte on safe configurations — the invariant the incremental
-// admission oracle rests on.
+// DiscreteVerifier beyond the packed cap and across state backends: more
+// than DiscreteVerifier::kMaxApps (5) applications must solve (heap
+// fallback) instead of throwing, the packed and unpacked encodings must
+// be observably identical, and the prefix-extension entry point must
+// reproduce from-scratch results byte-for-byte on safe configurations —
+// the invariant the incremental admission oracle rests on.
 #include <stdexcept>
 #include <vector>
 
@@ -37,7 +37,7 @@ std::vector<AppTiming> clones(int n, int t_star, int t_minus, int t_plus,
 // ------------------------------------------------- beyond the packed cap --
 
 TEST(DiscreteLarge, SeventeenAppsVerifyInsteadOfThrowing) {
-  // One more app than the packed representation holds. A slot shared by
+  // Far past the packed representation's 5 apps. A slot shared by
   // 17 tight-deadline apps is hopeless, and the depth-first dive finds
   // the violation without enumerating the full breadth of 2^17
   // disturbance subsets per level. Distinct T*w values keep the EDF grant
@@ -76,7 +76,7 @@ TEST(DiscreteLarge, AbsoluteCapStillRefuses) {
 // ----------------------------------------------------- backend equality --
 
 TEST(DiscreteLarge, UnpackedBackendMatchesPackedVerdicts) {
-  // Same configurations through the packed tiers and the forced heap
+  // Same configurations through the packed key and the forced heap
   // fallback: verdicts (including witnesses) must be indistinguishable.
   const std::vector<std::vector<AppTiming>> configs = {
       {uniform_app("A", 3, 2, 4, 10)},
@@ -85,15 +85,16 @@ TEST(DiscreteLarge, UnpackedBackendMatchesPackedVerdicts) {
       // episodes outlast the third app's T*w.
       {uniform_app("A", 2, 2, 2, 7), uniform_app("B", 2, 2, 2, 7),
        uniform_app("C", 2, 2, 2, 7)},
-      // Six apps lands in the wide packed tier; bounded to stay quick.
-      clones(6, 2, 1, 2, 6),
+      // Five apps fill the packed key (15 of 16 bytes); bounded to stay
+      // quick.
+      clones(5, 2, 1, 2, 6),
   };
   for (size_t c = 0; c < configs.size(); ++c) {
     const DiscreteVerifier verifier(configs[c]);
     for (const bool witness : {false, true}) {
       DiscreteVerifier::Options packed;
       packed.want_witness = witness;
-      if (configs[c].size() >= 6) packed.max_disturbances_per_app = 1;
+      if (configs[c].size() >= 5) packed.max_disturbances_per_app = 1;
       DiscreteVerifier::Options unpacked = packed;
       unpacked.backend = DiscreteVerifier::StateBackend::kUnpacked;
       EXPECT_EQ(verifier.verify(packed), verifier.verify(unpacked))
@@ -181,17 +182,17 @@ TEST(DiscreteLarge, ParallelMatchesSerialOnSafeConfigs) {
   // Completed safe proofs: the parallel driver promises full structural
   // verdict equality with serial at any thread count — same safe flag and
   // the same states_explored, because level-synchronous exact dedup makes
-  // the count the (order-independent) reachable-set size. Checked across
-  // both packed tiers and the forced heap fallback, at 2 and 8 threads
+  // the count the (order-independent) reachable-set size. Checked on the
+  // packed key and the forced heap fallback, at 2 and 8 threads
   // (8 on a small box exercises chunk counts far above the worker count).
   struct Config {
     std::vector<AppTiming> apps;
     int bound;
   };
   const std::vector<Config> configs = {
-      {clones(3, 4, 1, 1, 9), 2},  // SmallKey<16> tier
-      {clones(4, 4, 1, 1, 8), 2},  // SmallKey<16> tier, ~150k states
-      {clones(5, 4, 1, 1, 8), 1},  // SmallKey<48> tier, ~123k states
+      {clones(3, 4, 1, 1, 9), 2},  // 9 of the 16 key bytes
+      {clones(4, 4, 1, 1, 8), 2},  // 12 key bytes, ~150k states
+      {clones(5, 4, 1, 1, 8), 1},  // 15 key bytes, ~123k states
   };
   for (size_t c = 0; c < configs.size(); ++c) {
     const DiscreteVerifier verifier(configs[c].apps);

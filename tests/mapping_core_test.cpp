@@ -206,6 +206,31 @@ TEST(Solve, RejectsNonFiniteAndMisShapedGains) {
   expect_rejected(spec);
 }
 
+TEST(Solve, RateAboveTheVerifierLimitIsRejected) {
+  // The verifier counts samples in bytes. A rate past its limit is
+  // rejected before any analysis, naming the app and the limit, instead
+  // of tripping a verifier precondition at the first admission proof.
+  const int limit = verify::DiscreteVerifier::kMaxInterarrival;
+  for (const casestudy::App& app : casestudy::all_apps()) {
+    for (const int r : {limit + 1, 600}) {
+      AppSpec spec = to_spec(app);
+      spec.min_interarrival = r;
+      try {
+        static_cast<void>(core::solve({spec}));
+        ADD_FAILURE() << app.name << " accepted at r = " << r;
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(app.name), std::string::npos) << what;
+        EXPECT_NE(what.find(std::to_string(limit)), std::string::npos)
+            << what;
+      }
+    }
+  }
+  AppSpec at_limit = to_spec(casestudy::c1());
+  at_limit.min_interarrival = limit;
+  EXPECT_EQ(core::solve({at_limit}).proposed.slot_count(), 1);
+}
+
 TEST(Solve, SlackAwarePolicyYieldsSamePartitionOnCaseStudy) {
   // The slack-aware extension keeps the case-study dimensioning at two
   // slots (EXPERIMENTS.md A2): the postponement heuristic never admits

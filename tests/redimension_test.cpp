@@ -111,7 +111,6 @@ TEST(RedimensionTest, ParallelSessionFingerprintMatchesSerial) {
   const std::vector<core::AppSpec> specs = case_specs(3);
   core::DimensioningSession serial(base_options());
   core::SolveOptions parallel_options = base_options();
-  parallel_options.analysis_threads = 0;
   parallel_options.proof_threads = 0;
   core::DimensioningSession parallel(parallel_options);
   const std::string serial_fp = engine::fingerprint(serial.solve(specs));
@@ -398,6 +397,34 @@ TEST(RedimensionTest, NonFiniteAndMisShapedGainsAreRejected) {
     EXPECT_EQ(engine::fingerprint(session.solution()),
               engine::fingerprint(base));
   }
+}
+
+TEST(RedimensionTest, RateAboveTheVerifierLimitIsRejected) {
+  // Session solve, additions and re-rates reject a rate past the
+  // verifier's byte-counter limit before any analysis; the standing
+  // solution survives.
+  const std::vector<core::AppSpec> specs = case_specs(3);
+  core::AppSpec slow = specs[1];
+  slow.min_interarrival = 300;
+  ASSERT_GT(slow.min_interarrival,
+            verify::DiscreteVerifier::kMaxInterarrival);
+
+  core::DimensioningSession session(base_options());
+  std::vector<core::AppSpec> population = specs;
+  population[1] = slow;
+  EXPECT_THROW((void)session.solve(population), std::invalid_argument);
+  EXPECT_FALSE(session.has_solution());
+
+  const core::Solution base = session.solve(specs);
+  core::Delta rerate;
+  rerate.rerate.push_back(slow);
+  EXPECT_THROW((void)session.redimension(rerate), std::invalid_argument);
+  slow.name = "C9";
+  core::Delta add;
+  add.add.push_back(slow);
+  EXPECT_THROW((void)session.redimension(add), std::invalid_argument);
+  EXPECT_EQ(engine::fingerprint(session.solution()),
+            engine::fingerprint(base));
 }
 
 }  // namespace

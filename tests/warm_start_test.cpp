@@ -156,7 +156,7 @@ TEST_F(WarmStartTest, SolveKeyCoversResultAffectingInputsOnly) {
     o.memoize_admission = false;
     o.incremental_admission = false;
     o.subsumption_admission = false;
-    o.analysis_threads = 0;
+    o.proof_threads = 0;
     o.disk_cache = std::make_shared<engine::cache::DiskCache>(dir_);
     EXPECT_EQ(core::SolveKey::of(specs_, o), reference);
   }
