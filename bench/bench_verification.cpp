@@ -99,30 +99,45 @@ void report() {
               slow / fast);
 }
 
-void BM_DiscreteS1(benchmark::State& state) {
-  const std::vector<verify::AppTiming> s1{
-      bench::timing_of(casestudy::c1()), bench::timing_of(casestudy::c5()),
-      bench::timing_of(casestudy::c4()), bench::timing_of(casestudy::c3())};
-  const verify::DiscreteVerifier v(s1);
+/// Attaches a proof's size and speed to the report: `states` expanded
+/// per proof and `states_per_s` over the timed iterations.
+void count_states(benchmark::State& state, long states) {
+  state.counters["states"] = static_cast<double>(states);
+  state.counters["states_per_s"] =
+      benchmark::Counter(static_cast<double>(states),
+                         benchmark::Counter::kIsIterationInvariantRate);
+}
+
+/// One fresh serial proof of a case-study slot, in first-fit order.
+void run_slot_proof(benchmark::State& state,
+                    const std::vector<verify::AppTiming>& slot) {
+  const verify::DiscreteVerifier v(slot);
+  long states = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(v.verify());
+    const verify::SlotVerdict verdict = v.verify();
+    states = verdict.states_explored;
+    benchmark::DoNotOptimize(verdict);
   }
+  count_states(state, states);
+}
+
+void BM_DiscreteS1(benchmark::State& state) {
+  run_slot_proof(state, {bench::timing_of(casestudy::c1()),
+                         bench::timing_of(casestudy::c5()),
+                         bench::timing_of(casestudy::c4()),
+                         bench::timing_of(casestudy::c3())});
 }
 BENCHMARK(BM_DiscreteS1)->Unit(benchmark::kMillisecond);
 
 void BM_DiscreteS2(benchmark::State& state) {
-  const std::vector<verify::AppTiming> s2{bench::timing_of(casestudy::c6()),
-                                          bench::timing_of(casestudy::c2())};
-  const verify::DiscreteVerifier v(s2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(v.verify());
-  }
+  run_slot_proof(state, {bench::timing_of(casestudy::c6()),
+                         bench::timing_of(casestudy::c2())});
 }
 BENCHMARK(BM_DiscreteS2)->Unit(benchmark::kMillisecond);
 
 void BM_DiscreteLarge(benchmark::State& state) {
-  // The heap-fallback regime under the proof_threads sweep: 17
-  // applications (past the 5-app packed cap) with staggered deadlines and
+  // The heap-key regime under the proof_threads sweep: 17
+  // applications (past the dense code's 5 apps) with staggered deadlines and
   // a single-instance disturbance budget. The full space is intractable
   // — every state spawns ~2^16 disturbance subsets — so the proof is
   // budget-capped at 6 expansions: the root (the all-steady state, whose
@@ -158,6 +173,7 @@ void BM_DiscreteLarge(benchmark::State& state) {
   }
   state.SetLabel("threads " + std::to_string(state.range(0)) + ", " +
                  std::to_string(exhausted) + " budget-capped");
+  count_states(state, opt.max_states);  // each capped proof expands 6
 }
 BENCHMARK(BM_DiscreteLarge)
     ->Arg(1)

@@ -3,7 +3,8 @@
 
 Compares fresh google-benchmark JSON reports (bench_oracle; bench_batch
 for BM_CaseStudySolveAnalysisWarm, BM_CaseStudySolveSubsumptionWarm and
-BM_CaseStudySolveDiskWarm; bench_verification for the BM_DiscreteLarge
+BM_CaseStudySolveDiskWarm; bench_verification for the case-study slot
+proofs BM_DiscreteS1 / BM_DiscreteS2 and the BM_DiscreteLarge
 serial/parallel verifier pair; bench_redimension for the
 BM_RedimensionWarmChurn / BM_RedimensionColdPerEvent warm-vs-cold churn
 pair; bench_table1 for the per-application analysis layers) against
@@ -44,10 +45,15 @@ GATED = [
     "BM_CaseStudySolveAnalysisWarm",
     "BM_CaseStudySolveSubsumptionWarm",
     "BM_CaseStudySolveDiskWarm",
-    # The discrete verifier's heap-fallback hot loop (bench_verification):
-    # serial, and the Executor-parallel driver at 8 threads. Gated as two
-    # absolute (calibrated) times, not a speedup ratio — on a single-core
-    # runner the parallel time legitimately equals the serial one.
+    # The discrete verifier (bench_verification): one fresh serial proof
+    # per case-study slot, S1 = {C1,C5,C4,C3} (1.44 M states) and
+    # S2 = {C6,C2} (10 k states); then the heap-key hot loop, serial and
+    # the Executor-parallel driver at 8 threads. BM_DiscreteLarge is gated
+    # as two absolute (calibrated) times, not a speedup ratio — on a
+    # single-core runner the parallel time legitimately equals the serial
+    # one.
+    "BM_DiscreteS1",
+    "BM_DiscreteS2",
     "BM_DiscreteLarge/1",
     "BM_DiscreteLarge/8",
     # Online re-dimensioning (bench_redimension): the steady-state warm

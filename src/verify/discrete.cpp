@@ -22,15 +22,16 @@ namespace {
 
 using detail::HeapKey;
 using detail::KeyHash;
-using detail::SmallKey;
+using detail::StateCode;
 using detail::VisitedSet;
 using detail::round8;
 
 /// Application mode within the slot-sharing protocol.
 enum Loc : uint8_t { kSteady = 0, kWait = 1, kTt = 2, kSafe = 3 };
 
-/// Packed per-application state: mode, samples since the disturbance was
-/// seen, wait at grant time (TT only), disturbance count (bounded mode).
+/// Decoded per-application state: mode, samples since the disturbance
+/// was seen, wait at grant time (TT only), disturbance count (bounded
+/// mode).
 struct AppState {
   uint8_t loc = kSteady;
   uint8_t elapsed = 0;
@@ -38,62 +39,249 @@ struct AppState {
   uint8_t dist_count = 0;
 };
 
-/// State-representation policy: the search below is written once against
-/// this shape and instantiated for the packed and the heap-backed key.
-struct PackedShape {
-  using Key = SmallKey;
+/// The 3-byte record of one application in ExplorationState snapshots
+/// and heap keys: mode and disturbance count share the first byte.
+void write_record(const AppState& a, uint8_t* out) {
+  out[0] = static_cast<uint8_t>(a.loc | (a.dist_count << 2));
+  out[1] = a.elapsed;
+  out[2] = a.wt_grant;
+}
+
+AppState read_record(const uint8_t* in) {
+  AppState a;
+  a.loc = in[0] & 0x03;
+  a.dist_count = static_cast<uint8_t>(in[0] >> 2);
+  a.elapsed = in[1];
+  a.wt_grant = in[2];
+  return a;
+}
+
+// State-representation policies. The search below is written once
+// against this interface and instantiated for the dense code (CodeShape)
+// and the heap-backed byte key (HeapShape):
+//   blank()                 all apps steady;
+//   encode(State) / decode  whole-state conversions;
+//   patch(app, from, to)    a precomputed edit turning app `app`'s part
+//                           of a key from state `from` into `to`, applied
+//                           with apply(Key&, Patch) in the hot loop;
+//   write_records / from_records
+//                           the ExplorationState record format (3 bytes
+//                           per app), for capture and prefix seeding.
+
+/// Dense 8-byte code. Each app's (mode, elapsed, wt_grant, dist_count)
+/// maps to a local index:
+///   steady                                     0
+///   waiting, elapsed e in 0..T*w               1 + e
+///   in the slot, wt_grant w in 0..T*w and
+///     elapsed - w = c in 0..T+dw[w]            tt0[w] + c
+///   safe, elapsed e in 0..r-1                  safe0 + e
+/// (tt0 and safe0 number the blocks consecutively), and the field value
+/// is dist_count * span + local, span being the local index count
+/// (dist_count stays 0 when disturbances are unbounded). App i's field
+/// sits above app i-1's, as wide as its own field count needs, so the
+/// all-steady state is code 0 and a prefix population's fields are an
+/// extension's low fields. Populations whose fields need more than 63
+/// bits in all run on the heap key.
+class CodeShape {
+ public:
+  using Key = StateCode;
   using State = std::array<AppState, DiscreteVerifier::kMaxApps>;
-  /// Most applications the key can pack (3 bytes per app).
-  static constexpr size_t kKeyApps = SmallKey::kCap / 3;
-  static_assert(kKeyApps == DiscreteVerifier::kMaxApps);
-  static State blank(size_t) { return State{}; }
-  static Key make_key(size_t len) {
-    Key k;
-    k.len = static_cast<uint8_t>(len);
-    return k;
+  using Patch = uint64_t;  ///< field delta, modulo 2^64
+
+  /// Whether the population fits one code: at most kMaxApps apps and 63
+  /// bits of fields. The dispatch test; the constructor requires it.
+  static bool fits(const std::vector<AppTiming>& apps, int budget) {
+    if (apps.size() > DiscreteVerifier::kMaxApps) return false;
+    unsigned bits = 0;
+    for (const AppTiming& a : apps) bits += field_bits(a, budget);
+    return bits <= 63;
   }
+
+  CodeShape(const std::vector<AppTiming>& apps, int budget)
+      : napps_(apps.size()) {
+    TTDIM_EXPECTS(fits(apps, budget));
+    unsigned shift = 0;
+    for (size_t i = 0; i < napps_; ++i) {
+      const AppTiming& t = apps[i];
+      Field& f = fields_[i];
+      f.shift = shift;
+      const unsigned bits = field_bits(t, budget);
+      f.mask = (uint64_t{1} << bits) - 1;
+      shift += bits;
+      f.counts = budget < 0 ? 1 : budget + 1;
+      f.waits = t.t_star_w + 1;
+      f.offset.assign(4 * static_cast<size_t>(f.waits), 0);
+      f.offset[kWait * static_cast<size_t>(f.waits)] = 1;
+      int next = t.t_star_w + 2;  // past steady and the waiting indices
+      for (int w = 0; w <= t.t_star_w; ++w) {
+        f.offset[kTt * static_cast<size_t>(f.waits) + static_cast<size_t>(w)] =
+            next - w;
+        next += t.t_plus[static_cast<size_t>(w)] + 1;
+      }
+      f.offset[kSafe * static_cast<size_t>(f.waits)] = next;
+      f.span = next + t.min_interarrival;
+
+      // The decode table is the inverse of field_of over every state the
+      // layout numbers.
+      f.states.resize(static_cast<size_t>(f.span) *
+                      static_cast<size_t>(f.counts));
+      for (int d = 0; d < f.counts; ++d) {
+        auto put = [&](Loc loc, int elapsed, int wt_grant) {
+          const AppState a{loc, static_cast<uint8_t>(elapsed),
+                           static_cast<uint8_t>(wt_grant),
+                           static_cast<uint8_t>(d)};
+          f.states[field_of(f, a)] = a;
+        };
+        put(kSteady, 0, 0);
+        for (int e = 0; e <= t.t_star_w; ++e) put(kWait, e, 0);
+        for (int w = 0; w <= t.t_star_w; ++w)
+          for (int c = 0; c <= t.t_plus[static_cast<size_t>(w)]; ++c)
+            put(kTt, w + c, w);
+        for (int e = 0; e < t.min_interarrival; ++e) put(kSafe, e, 0);
+      }
+    }
+  }
+
+  [[nodiscard]] State blank() const { return State{}; }
+
+  [[nodiscard]] Key encode(const State& s) const {
+    uint64_t code = 0;
+    for (size_t i = 0; i < napps_; ++i)
+      code |= field_of(fields_[i], s[i]) << fields_[i].shift;
+    return Key{code};
+  }
+
+  void decode(const Key& key, State& s) const {
+    for (size_t i = 0; i < napps_; ++i) s[i] = state_of(fields_[i], key);
+  }
+
+  [[nodiscard]] Patch patch(size_t app, const AppState& from,
+                            const AppState& to) const {
+    const Field& f = fields_[app];
+    return (field_of(f, to) - field_of(f, from)) << f.shift;
+  }
+  static void apply(Key& key, Patch p) { key.code += p; }
+
+  void write_records(const Key& key, uint8_t* out) const {
+    for (size_t i = 0; i < napps_; ++i)
+      write_record(state_of(fields_[i], key), out + 3 * i);
+  }
+
+  /// Key of a snapshot record over the first `napps` apps, the rest
+  /// steady. Records come from a proof of the same timings and budget,
+  /// so every one must round-trip through the decode table; anything
+  /// else is an invariant failure, never a silently wrong code.
+  [[nodiscard]] Key from_records(const uint8_t* in, size_t napps) const {
+    uint64_t code = 0;
+    for (size_t i = 0; i < napps; ++i) {
+      const Field& f = fields_[i];
+      const AppState a = read_record(in + 3 * i);
+      TTDIM_CHECK(a.wt_grant < f.waits && a.dist_count < f.counts);
+      const uint64_t field = field_of(f, a);
+      TTDIM_CHECK(field < f.states.size());
+      const AppState& back = f.states[field];
+      TTDIM_CHECK(back.loc == a.loc && back.elapsed == a.elapsed &&
+                  back.wt_grant == a.wt_grant &&
+                  back.dist_count == a.dist_count);
+      code |= field << f.shift;
+    }
+    return Key{code};
+  }
+
+ private:
+  struct Field {
+    unsigned shift = 0;
+    uint64_t mask = 0;
+    int counts = 1;  ///< disturbance counts 0..budget
+    int waits = 0;   ///< T*w + 1 wt_grant values
+    int span = 0;    ///< local indices per disturbance count
+    /// Local index minus elapsed, by loc * waits + wt_grant.
+    std::vector<int> offset;
+    std::vector<AppState> states;  ///< field value -> state
+  };
+
+  static unsigned field_bits(const AppTiming& t, int budget) {
+    uint64_t span = static_cast<uint64_t>(t.t_star_w) + 2 +
+                    static_cast<uint64_t>(t.min_interarrival);
+    for (const int tp : t.t_plus) span += static_cast<uint64_t>(tp) + 1;
+    const uint64_t count =
+        span * static_cast<uint64_t>(budget < 0 ? 1 : budget + 1);
+    return static_cast<unsigned>(64 - __builtin_clzll(count - 1));
+  }
+
+  static uint64_t field_of(const Field& f, const AppState& a) {
+    const int local =
+        f.offset[static_cast<size_t>(a.loc * f.waits + a.wt_grant)] +
+        a.elapsed;
+    return static_cast<uint64_t>(a.dist_count * f.span + local);
+  }
+
+  static const AppState& state_of(const Field& f, const Key& key) {
+    return f.states[(key.code >> f.shift) & f.mask];
+  }
+
+  size_t napps_;
+  std::array<Field, DiscreteVerifier::kMaxApps> fields_;
 };
 
-struct HeapShape {
+/// Heap-backed byte key: the records themselves, zero-padded.
+class HeapShape {
+ public:
   using Key = HeapKey;
   using State = std::vector<AppState>;
-  static constexpr size_t kKeyApps = DiscreteVerifier::kMaxAppsUnpacked;
-  static State blank(size_t napps) { return State(napps); }
-  static Key make_key(size_t len) {
+  struct Patch {
+    size_t offset;
+    std::array<uint8_t, 3> record;
+  };
+
+  explicit HeapShape(size_t napps) : napps_(napps) {
+    TTDIM_EXPECTS(napps_ <= DiscreteVerifier::kMaxAppsUnpacked);
+  }
+
+  [[nodiscard]] State blank() const { return State(napps_); }
+
+  [[nodiscard]] Key encode(const State& s) const {
+    Key key = blank_key();
+    for (size_t i = 0; i < napps_; ++i) write_record(s[i], key.data() + 3 * i);
+    return key;
+  }
+
+  void decode(const Key& key, State& s) const {
+    for (size_t i = 0; i < napps_; ++i) s[i] = read_record(key.data() + 3 * i);
+  }
+
+  [[nodiscard]] Patch patch(size_t app, const AppState&,
+                            const AppState& to) const {
+    Patch p{3 * app, {}};
+    write_record(to, p.record.data());
+    return p;
+  }
+  static void apply(Key& key, const Patch& p) {
+    std::memcpy(key.data() + p.offset, p.record.data(), 3);
+  }
+
+  void write_records(const Key& key, uint8_t* out) const {
+    std::memcpy(out, key.data(), 3 * napps_);
+  }
+
+  /// Appended applications start steady == all-zero record bytes, so
+  /// zero-extension *is* the embedding of the prefix state.
+  [[nodiscard]] Key from_records(const uint8_t* in, size_t napps) const {
+    Key key = blank_key();
+    std::memcpy(key.data(), in, 3 * napps);
+    return key;
+  }
+
+ private:
+  [[nodiscard]] Key blank_key() const {
     Key k;
-    k.len = static_cast<uint16_t>(len);
-    k.bytes.assign(round8(len), 0);
+    k.len = static_cast<uint16_t>(3 * napps_);
+    k.bytes.assign(round8(3 * napps_), 0);
     return k;
   }
+
+  size_t napps_;
 };
-
-template <typename Shape>
-typename Shape::Key encode(const typename Shape::State& s, size_t napps) {
-  TTDIM_EXPECTS(napps <= Shape::kKeyApps);  // dispatch picked this shape
-  typename Shape::Key key = Shape::make_key(3 * napps);
-  uint8_t* b = key.data();
-  for (size_t i = 0; i < napps; ++i) {
-    const AppState& a = s[i];
-    b[3 * i] = static_cast<uint8_t>(a.loc | (a.dist_count << 2));
-    b[3 * i + 1] = a.elapsed;
-    b[3 * i + 2] = a.wt_grant;
-  }
-  return key;
-}
-
-template <typename Shape>
-void decode(const typename Shape::Key& key, size_t napps,
-            typename Shape::State& s) {
-  TTDIM_EXPECTS(napps <= Shape::kKeyApps);
-  const uint8_t* b = key.data();
-  for (size_t i = 0; i < napps; ++i) {
-    const uint8_t packed = b[3 * i];
-    s[i].loc = packed & 0x03;
-    s[i].dist_count = packed >> 2;
-    s[i].elapsed = b[3 * i + 1];
-    s[i].wt_grant = b[3 * i + 2];
-  }
-}
 
 /// Enumerating 2^k disturbance subsets from one state is pointless beyond
 /// this width — a single expansion would dwarf any realistic state budget.
@@ -125,12 +313,12 @@ struct Probe {
 ///
 /// Two interior paths:
 ///  - expand_fast(): the kPaper no-witness hot path. Works directly on
-///    the packed key bytes — encode the post-elapse base once, then each
-///    disturbance subset is a word-level copy of that 16-byte
-///    encoding plus popcount-many byte patches, and grants patch two
-///    more bytes. No AppState walk, no re-encode, no per-successor
-///    dispatch: the inner loops are straight-line copies and table
-///    lookups the compiler auto-vectorizes.
+///    keys — encode the post-elapse base once and precompute, per pop,
+///    the patch of every app that can change; then each disturbance
+///    subset is a copy of the base key plus popcount-many patches, and a
+///    grant is one more. On the dense code a patch is one 64-bit add of
+///    a field delta; on the heap key it is a 3-byte record store. No
+///    AppState walk, no re-encode, no per-successor dispatch.
 ///  - expand_generic(): the reference path (witness recording, and the
 ///    kSlackAware policy whose preemption test needs full waiter views).
 ///
@@ -145,15 +333,18 @@ class Expander {
   using Key = typename Shape::Key;
   using State = typename Shape::State;
 
-  Expander(const std::vector<AppTiming>& apps,
+  using Patch = typename Shape::Patch;
+
+  Expander(const Shape& shape, const std::vector<AppTiming>& apps,
            const DiscreteVerifier::Options& options)
-      : apps_(apps),
+      : shape_(shape),
+        apps_(apps),
         options_(options),
         napps_(apps.size()),
         bounded_(options.max_disturbances_per_app >= 0),
-        base_(Shape::blank(napps_)),
-        s_(Shape::blank(napps_)),
-        granted_(Shape::blank(napps_)) {}
+        base_(shape.blank()),
+        s_(shape.blank()),
+        granted_(shape.blank()) {}
 
   struct Violation {
     int violator = -1;
@@ -168,7 +359,7 @@ class Expander {
   template <bool Record, typename Sink>
   bool expand(const Key& cur_key, bool seed_pop, size_t prefix_napps,
               Violation& violation, Sink&& sink) {
-    decode<Shape>(cur_key, napps_, base_);
+    shape_.decode(cur_key, base_);
 
     // ---- Phase 1: one sample elapses. -----------------------------------
     bool error_now = false;
@@ -359,95 +550,94 @@ class Expander {
             if constexpr (Record) {
               WitnessTick grant_tick = tick;
               grant_tick.granted = static_cast<int>(c);
-              sink(encode<Shape>(granted_, napps_),
+              sink(shape_.encode(granted_),
                    action + " grant(" + apps_[c].name +
                        ",Tw=" + std::to_string(granted_[c].elapsed) + ")",
                    std::move(grant_tick));
             } else {
-              sink(encode<Shape>(granted_, napps_));
+              sink(shape_.encode(granted_));
             }
           }
           continue;  // grant branches cover this subset
         }
       }
       if constexpr (Record) {
-        sink(encode<Shape>(s_, napps_), action, std::move(tick));
+        sink(shape_.encode(s_), action, std::move(tick));
       } else {
-        sink(encode<Shape>(s_, napps_));
+        sink(shape_.encode(s_));
       }
     }
   }
 
-  // Phases 2–4 straight over the packed key bytes (kPaper, no witness).
+  // Phases 2–4 straight over keys (kPaper, no witness).
   template <typename Sink>
   void expand_fast(size_t appended_mask, bool seed_pop, Sink&& sink) {
-    base_key_ = encode<Shape>(base_, napps_);
+    base_key_ = shape_.encode(base_);
 
     // Hoisted per-pop constants. Base waiters are gathered in ascending
-    // app index with their remaining deadlines; a freshly disturbed app's
-    // remaining deadline is its full T*w (elapsed resets to 0).
+    // app index with their remaining deadlines and grant patches; a
+    // freshly disturbed app's remaining deadline is its full T*w (elapsed
+    // resets to 0), and its grant patch starts from the disturbed state.
     bw_idx_.clear();
     bw_rem_.clear();
+    bw_grant_.clear();
     int base_best = INT32_MAX;
     for (size_t i = 0; i < napps_; ++i) {
-      if (base_[i].loc != kWait) continue;
-      const int remaining = apps_[i].t_star_w - base_[i].elapsed;
+      const AppState& a = base_[i];
+      if (a.loc != kWait) continue;
+      const int remaining = apps_[i].t_star_w - a.elapsed;
       TTDIM_CHECK(remaining >= 0);
       bw_idx_.push_back(i);
       bw_rem_.push_back(remaining);
+      bw_grant_.push_back(shape_.patch(
+          i, a, AppState{kTt, a.elapsed, a.elapsed, a.dist_count}));
       base_best = std::min(base_best, remaining);
     }
     dist_rem_.clear();
-    disturb_b0_.clear();  // disturbed mode byte: kWait + bumped budget
+    disturb_.clear();
+    dist_grant_.clear();
     for (size_t b = 0; b < steady_.size(); ++b) {
       const size_t i = steady_[b];
-      dist_rem_.push_back(apps_[i].t_star_w);
+      const AppState& a = base_[i];
       const uint8_t dist =
-          static_cast<uint8_t>(base_[i].dist_count + (bounded_ ? 1 : 0));
-      disturb_b0_.push_back(static_cast<uint8_t>(kWait | (dist << 2)));
+          static_cast<uint8_t>(a.dist_count + (bounded_ ? 1 : 0));
+      const AppState waiting{kWait, 0, 0, dist};
+      dist_rem_.push_back(apps_[i].t_star_w);
+      disturb_.push_back(shape_.patch(i, a, waiting));
+      dist_grant_.push_back(
+          shape_.patch(i, waiting, AppState{kTt, 0, 0, dist}));
     }
 
     // The occupant's fate is subset-invariant except through "is any
     // waiter present": eviction always fires, preemption fires iff a
-    // waiter exists (kPaper never postpones). Its leave bytes are a
-    // constant triple.
+    // waiter exists (kPaper never postpones). Either way it leaves to
+    // the same state, so its patch is one constant.
     bool evict = false;
     bool preempt_on_waiter = false;
-    uint8_t leave_b0 = 0;
-    uint8_t leave_b1 = 0;
+    Patch leave{};
     if (occupant0_ >= 0) {
       const size_t o = static_cast<size_t>(occupant0_);
       evict = occ_ct_ == occ_dtp_;
       preempt_on_waiter = !evict && occ_ct_ >= occ_dtm_;
       const AppState& ost = base_[o];
-      if (ost.elapsed >= apps_[o].min_interarrival) {
-        leave_b0 = static_cast<uint8_t>(kSteady | (ost.dist_count << 2));
-        leave_b1 = 0;
-      } else {
-        leave_b0 = static_cast<uint8_t>(kSafe | (ost.dist_count << 2));
-        leave_b1 = ost.elapsed;
-      }
+      const AppState left =
+          ost.elapsed >= apps_[o].min_interarrival
+              ? AppState{kSteady, 0, 0, ost.dist_count}
+              : AppState{kSafe, ost.elapsed, 0, ost.dist_count};
+      leave = shape_.patch(o, ost, left);
     }
 
     const size_t subsets = size_t{1} << steady_.size();
     for (size_t mask = 0; mask < subsets; ++mask) {
       if (seed_pop && (mask & appended_mask) == 0) continue;
-      out_key_ = base_key_;  // word-level copy of the packed encoding
-      uint8_t* b = out_key_.data();
-      for (size_t bits = mask; bits != 0; bits &= bits - 1) {
-        const size_t bi = ctz(bits);
-        const size_t app = steady_[bi];
-        b[3 * app] = disturb_b0_[bi];
-        b[3 * app + 1] = 0;  // wt_grant byte is already 0 for steady apps
-      }
+      out_key_ = base_key_;
+      for (size_t bits = mask; bits != 0; bits &= bits - 1)
+        Shape::apply(out_key_, disturb_[ctz(bits)]);
 
       const bool any_waiter = !bw_idx_.empty() || mask != 0;
       bool slot_free = occupant0_ < 0;
       if (!slot_free && (evict || (preempt_on_waiter && any_waiter))) {
-        uint8_t* ob = b + 3 * static_cast<size_t>(occupant0_);
-        ob[0] = leave_b0;
-        ob[1] = leave_b1;
-        ob[2] = 0;
+        Shape::apply(out_key_, leave);
         slot_free = true;
       }
 
@@ -466,22 +656,20 @@ class Expander {
             const size_t app_w = wi < bw_idx_.size() ? bw_idx_[wi] : SIZE_MAX;
             const size_t bi = bits != 0 ? ctz(bits) : 0;
             const size_t app_d = bits != 0 ? steady_[bi] : SIZE_MAX;
-            size_t app;
             int remaining;
+            const Patch* grant;
             if (app_w < app_d) {
-              app = app_w;
               remaining = bw_rem_[wi];
+              grant = &bw_grant_[wi];
               ++wi;
             } else {
-              app = app_d;
               remaining = dist_rem_[bi];
+              grant = &dist_grant_[bi];
               bits &= bits - 1;
             }
             if (remaining != best) continue;
             grant_key_ = out_key_;
-            uint8_t* gb = grant_key_.data() + 3 * app;
-            gb[0] = static_cast<uint8_t>((gb[0] & ~0x03) | kTt);
-            gb[2] = gb[1];  // wt_grant := elapsed at grant time
+            Shape::apply(grant_key_, *grant);
             sink(std::move(grant_key_));
           }
           continue;  // grant branches cover this subset
@@ -491,6 +679,7 @@ class Expander {
     }
   }
 
+  const Shape& shape_;
   const std::vector<AppTiming>& apps_;
   const DiscreteVerifier::Options& options_;
   const size_t napps_;
@@ -517,21 +706,20 @@ class Expander {
   Key grant_key_;
   std::vector<size_t> bw_idx_;
   std::vector<int> bw_rem_;
+  std::vector<Patch> bw_grant_;
   std::vector<int> dist_rem_;
-  std::vector<uint8_t> disturb_b0_;
+  std::vector<Patch> disturb_;
+  std::vector<Patch> dist_grant_;
 };
 
 template <typename Shape>
-SlotVerdict run_search(const std::vector<AppTiming>& apps,
+SlotVerdict run_search(const Shape& shape, const std::vector<AppTiming>& apps,
                        const DiscreteVerifier::Options& options,
                        const ExplorationState* extend_from,
                        ExplorationState* capture) {
   using Key = typename Shape::Key;
 
   const size_t napps = apps.size();
-  TTDIM_EXPECTS(napps >= 1 && napps <= Shape::kKeyApps);
-  // The packed key stores the budget in 6 bits.
-  TTDIM_EXPECTS(options.max_disturbances_per_app <= 62);
   // Prefix extension and snapshot capture rely on the FIFO queue doubling
   // as the discovery-order log; witnesses would need parenthood for seeds.
   if (extend_from != nullptr || capture != nullptr) {
@@ -559,7 +747,7 @@ SlotVerdict run_search(const std::vector<AppTiming>& apps,
   // seeds (FIFO), which is what licenses the subset restriction below.
   size_t seed_count = 0;
   size_t prefix_napps = 0;
-  const Key init_key = encode<Shape>(Shape::blank(napps), napps);
+  const Key init_key = shape.encode(shape.blank());
   if (extend_from != nullptr) {
     const ExplorationState& base = *extend_from;
     // Soundness invariants of "appending is conservative" (discrete.h):
@@ -575,10 +763,9 @@ SlotVerdict run_search(const std::vector<AppTiming>& apps,
     visited.reserve(seed_count);
     queue.reserve(seed_count);
     for (size_t r = 0; r < seed_count; ++r) {
-      Key k = Shape::make_key(3 * napps);
-      std::memcpy(k.data(), base.packed.data() + r * stride, stride);
-      // Appended applications start steady == all-zero record bytes, so
-      // zero-extension *is* the embedding of the prefix state.
+      // Appended applications start steady, so the embedding of a prefix
+      // state leaves their part of the key blank.
+      Key k = shape.from_records(base.packed.data() + r * stride, base.napps);
       TTDIM_CHECK(visited.insert(k));  // prefix snapshot holds no duplicates
       queue.push_back(std::move(k));
     }
@@ -604,7 +791,7 @@ SlotVerdict run_search(const std::vector<AppTiming>& apps,
     return steps;
   };
 
-  Expander<Shape> expander(apps, options);
+  Expander<Shape> expander(shape, apps, options);
   Key cur_key;
 
   // Non-witness successors route through a probe block: hashed at
@@ -612,7 +799,11 @@ SlotVerdict run_search(const std::vector<AppTiming>& apps,
   // prefetch of every home slot, then the inserts in emission order.
   // Order in == order out, so discovery order (and with it fingerprints,
   // snapshots and the DFS stack) is byte-identical to unbatched probing;
-  // only the memory latency of the probes changes.
+  // only the memory latency of the probes changes. Breadth-first pops
+  // leave their successors pending across states (a pop emits only a
+  // handful, so a per-pop flush would give the prefetches almost no lead
+  // time): the block flushes when full or when the queue runs dry, and a
+  // FIFO pop never reads past the flushed part.
   std::vector<Probe<Key>> block;
   block.reserve(kProbeBlock);
   auto flush = [&]() {
@@ -637,7 +828,12 @@ SlotVerdict run_search(const std::vector<AppTiming>& apps,
     queue.push_back(std::move(key));
   };
 
-  while (head < queue.size()) {
+  for (;;) {
+    if (head == queue.size()) {
+      if (block.empty()) break;
+      flush();
+      continue;
+    }
     if (options.depth_first) {
       cur_key = std::move(queue.back());
       queue.pop_back();
@@ -667,20 +863,21 @@ SlotVerdict run_search(const std::vector<AppTiming>& apps,
         verdict.witness = build_witness(cur_key, violation.action);
       return verdict;
     }
-    // Successors must be visible before the next pop (the DFS stack pops
-    // them immediately; the BFS loop condition reads queue.size()).
-    if (!block.empty()) flush();
+    // The DFS stack pops the successors at once: make them visible.
+    if (options.depth_first && !block.empty()) flush();
   }
 
   verdict.safe = true;
   if (capture != nullptr) {
     // Safe == exhausted queue == the FIFO log is the full reachable set.
+    const size_t stride = 3 * napps;
     capture->napps = napps;
-    capture->packed.clear();
-    capture->packed.reserve(queue.size() * 3 * napps);
-    for (const Key& k : queue)
-      capture->packed.insert(capture->packed.end(), k.data(),
-                             k.data() + 3 * napps);
+    capture->packed.assign(queue.size() * stride, 0);
+    uint8_t* out = capture->packed.data();
+    for (const Key& k : queue) {
+      shape.write_records(k, out);
+      out += stride;
+    }
   }
   return verdict;
 }
@@ -705,19 +902,16 @@ SlotVerdict run_search(const std::vector<AppTiming>& apps,
 /// possible when the budget lands mid-level of an unsafe proof)
 /// conservative.
 template <typename Shape>
-SlotVerdict run_parallel(const std::vector<AppTiming>& apps,
+SlotVerdict run_parallel(const Shape& shape,
+                         const std::vector<AppTiming>& apps,
                          const DiscreteVerifier::Options& options) {
   using Key = typename Shape::Key;
   using Striped = detail::StripedVisitedSet<Key>;
 
-  const size_t napps = apps.size();
-  TTDIM_EXPECTS(napps >= 1 && napps <= Shape::kKeyApps);
-  TTDIM_EXPECTS(options.max_disturbances_per_app <= 62);
-
   Striped visited;
   std::vector<Key> frontier;
   {
-    const Key init_key = encode<Shape>(Shape::blank(napps), napps);
+    const Key init_key = shape.encode(shape.blank());
     TTDIM_CHECK(visited.insert(VisitedSet<Key>::hash_of(init_key), init_key));
     frontier.push_back(init_key);
   }
@@ -736,7 +930,7 @@ SlotVerdict run_parallel(const std::vector<AppTiming>& apps,
     executor.run_chunks(
         options.proof_threads, level_size, kParallelGrain,
         [&](int chunk, long lo, long hi) {
-          Expander<Shape> expander(apps, options);
+          Expander<Shape> expander(shape, apps, options);
           std::vector<Key>& out = next[static_cast<size_t>(chunk)];
           std::array<std::vector<Probe<Key>>, Striped::kNumStripes> buckets;
           size_t pending = 0;
@@ -835,8 +1029,10 @@ SlotVerdict DiscreteVerifier::verify(const Options& options) const {
 SlotVerdict DiscreteVerifier::verify(const Options& options,
                                      const ExplorationState* extend_from,
                                      ExplorationState* capture) const {
-  const size_t napps = apps_.size();
-  if (options.proof_threads > 1) {
+  // Snapshot records and heap keys store the disturbance count in 6 bits.
+  TTDIM_EXPECTS(options.max_disturbances_per_app <= 62);
+  const bool parallel = options.proof_threads > 1;
+  if (parallel) {
     // The parallel driver proves fresh, non-diagnostic queries only:
     // witnesses need parenthood, depth-first is inherently a stack walk,
     // and snapshot capture / prefix seeding rely on the serial FIFO
@@ -844,13 +1040,17 @@ SlotVerdict DiscreteVerifier::verify(const Options& options,
     // those).
     TTDIM_EXPECTS(extend_from == nullptr && capture == nullptr);
     TTDIM_EXPECTS(!options.want_witness && !options.depth_first);
-    if (options.backend == StateBackend::kUnpacked || napps > kMaxApps)
-      return run_parallel<HeapShape>(apps_, options);
-    return run_parallel<PackedShape>(apps_, options);
   }
-  if (options.backend == StateBackend::kUnpacked || napps > kMaxApps)
-    return run_search<HeapShape>(apps_, options, extend_from, capture);
-  return run_search<PackedShape>(apps_, options, extend_from, capture);
+  if (options.backend != StateBackend::kUnpacked &&
+      CodeShape::fits(apps_, options.max_disturbances_per_app)) {
+    const CodeShape shape(apps_, options.max_disturbances_per_app);
+    return parallel
+               ? run_parallel(shape, apps_, options)
+               : run_search(shape, apps_, options, extend_from, capture);
+  }
+  const HeapShape shape(apps_.size());
+  return parallel ? run_parallel(shape, apps_, options)
+                  : run_search(shape, apps_, options, extend_from, capture);
 }
 
 void encode(support::codec::Encoder& enc, const SlotVerdict& verdict) {

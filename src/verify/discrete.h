@@ -105,11 +105,15 @@ struct ExplorationState {
 /// [T-dw, T+dw), evicted at T+dw.
 class DiscreteVerifier {
  public:
-  /// Cap on applications for the allocation-free packed state
-  /// representation (3 bytes per app in one 16-byte key). Larger
-  /// populations fall back to a heap-backed state encoding — same search,
-  /// same verdicts, slower per state — so oversized generated scenarios
-  /// solve instead of throwing.
+  /// Cap on applications for the allocation-free state key: one 8-byte
+  /// code per state, each app's (mode, elapsed, wait at grant,
+  /// disturbance count) a dense index in its own bit field, the widths
+  /// taken from the slot's timings (the Table-1 apps need 7–8 bits each).
+  /// Larger populations, and the rare ones whose fields would need more
+  /// than 63 bits (long r or T*w, or a large disturbance budget), fall
+  /// back to a heap-backed key of 3 bytes per app — same search, same
+  /// verdicts, slower per state — so oversized generated scenarios solve
+  /// instead of throwing.
   static constexpr std::size_t kMaxApps = 5;
   /// Absolute cap: beyond this the 2^napps disturbance branching is
   /// intractable under any representation and the constructor refuses.
@@ -118,8 +122,9 @@ class DiscreteVerifier {
   /// count samples in bytes, and AppTiming::validate bounds the rest by r.
   static constexpr int kMaxInterarrival = 249;
 
-  /// State-representation override for tests: kAuto picks the packed
-  /// encoding (heap beyond kMaxApps); kUnpacked forces the heap fallback.
+  /// State-representation override for tests: kAuto picks the 8-byte
+  /// code (the heap key where it does not fit, see kMaxApps); kUnpacked
+  /// forces the heap key.
   /// Verdicts are identical by construction — the equality is pinned by
   /// tests/discrete_large_test.cpp — so this never enters the oracle
   /// layer's cache keys.

@@ -1,7 +1,7 @@
-// Dedup machinery of the discrete-time verifier's BFS: packed state keys,
-// the word-at-a-time key hash, the open-addressing VisitedSet, and the
-// striped (sharded-by-hash) variant the Executor-parallel proof driver
-// deduplicates through.
+// Dedup machinery of the discrete-time verifier's BFS: the two state keys
+// (the dense 8-byte code and the heap-backed byte key) with their hashes,
+// the open-addressing VisitedSet, and the striped (sharded-by-hash)
+// variant the Executor-parallel proof driver deduplicates through.
 //
 // Everything here used to live in discrete.cpp's anonymous namespace; it
 // is a header so (a) the serial and parallel drivers share one growth /
@@ -19,54 +19,44 @@
 #include <vector>
 
 #include "support/check.h"
+#include "support/splitmix64.h"
 #include "support/thread_annotations.h"
 
 namespace ttdim::verify::detail {
 
 constexpr std::size_t round8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
 
-/// Fixed-capacity dedup key: three bytes per application (mode and
-/// disturbance budget share a byte) for up to DiscreteVerifier::kMaxApps
-/// = 5 applications, zero-padded to 16 bytes so hashing reads whole words
-/// and the visited table and queue stay cache-resident.
-struct SmallKey {
-  static constexpr std::size_t kCap = 16;
-  std::array<std::uint8_t, kCap> bytes{};
-  std::uint8_t len = 0;  ///< 0 marks an empty visited-table slot
+/// Dense key of one state of up to DiscreteVerifier::kMaxApps = 5
+/// applications: each application's (mode, elapsed, wait at grant,
+/// disturbance count) is a local index in its own bit field of one
+/// 64-bit word (discrete.cpp's CodeShape derives the field widths from
+/// the slot's timings and refuses populations that need more than 63
+/// bits). The all-steady state is code 0, and since a code never sets
+/// bit 63, all ones marks an empty visited-table slot.
+struct StateCode {
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  std::uint64_t code = kEmpty;
 
-  /// The whole (zero-padded) array is hashed: the trip count is a
-  /// compile-time constant and padded words mix in nothing but zeros.
-  static constexpr std::size_t kFixedHashSpan = kCap;
+  [[nodiscard]] bool empty() const noexcept { return code == kEmpty; }
 
-  [[nodiscard]] const std::uint8_t* data() const noexcept {
-    return bytes.data();
-  }
-  [[nodiscard]] std::uint8_t* data() noexcept { return bytes.data(); }
-  [[nodiscard]] bool empty() const noexcept { return len == 0; }
-
-  friend bool operator==(const SmallKey& a, const SmallKey& b) {
-    // Fixed-size compare inlines to a couple of word compares; the
-    // padding beyond len is zero on both sides, so it never flips the
-    // answer for keys of equal length (all keys of one run share len).
-    return a.len == b.len &&
-           std::memcmp(a.bytes.data(), b.bytes.data(), kCap) == 0;
-  }
-  friend bool operator!=(const SmallKey& a, const SmallKey& b) {
-    return !(a == b);
-  }
+  friend bool operator==(StateCode a, StateCode b) { return a.code == b.code; }
+  friend bool operator!=(StateCode a, StateCode b) { return a.code != b.code; }
 };
 
-/// Heap-backed key for populations beyond the packed cap (6 to
-/// kMaxAppsUnpacked applications): same 3-bytes-per-app layout, storage
-/// rounded up to whole words and zero-padded so the shared hash loop
-/// applies unchanged. This is the fallback for larger populations —
-/// per-state allocation is acceptable because the disturbance branching
-/// dominates long before key traffic does at such sizes.
+[[nodiscard]] inline std::size_t hash_key(StateCode k) noexcept {
+  return static_cast<std::size_t>(support::splitmix64(k.code));
+}
+
+/// Heap-backed key for populations the code cannot hold (more than
+/// kMaxApps applications, or fields wider than 63 bits in all): three
+/// bytes per application (mode and disturbance budget share a byte),
+/// storage rounded up to whole words and zero-padded so the hash reads
+/// whole words. Per-state allocation is acceptable here because the
+/// disturbance branching dominates long before key traffic does at such
+/// sizes.
 struct HeapKey {
   std::vector<std::uint8_t> bytes;  ///< size == round8(len), zero-padded
-  std::uint16_t len = 0;
-
-  static constexpr std::size_t kFixedHashSpan = 0;  ///< length-bounded hashing
+  std::uint16_t len = 0;            ///< 0 marks an empty visited-table slot
 
   [[nodiscard]] const std::uint8_t* data() const noexcept {
     return bytes.data();
@@ -82,33 +72,32 @@ struct HeapKey {
   }
 };
 
-/// Word-at-a-time mix (splitmix-style) over the zero-padded key, bounded
-/// by the words the key actually occupies — all keys of one run share a
-/// length, so the trailing zero padding inside the last word is
-/// collision-neutral and the loop trip count is minimal.
+/// Word-at-a-time mix (splitmix-style) over the zero-padded key bytes.
+/// All keys of one run share a length, so the trailing zero padding
+/// inside the last word is collision-neutral.
+[[nodiscard]] inline std::size_t hash_key(const HeapKey& k) noexcept {
+  std::uint64_t h = 0x9E3779B97F4A7C15ull ^ k.len;
+  const std::uint8_t* data = k.data();
+  for (std::size_t off = 0; off < round8(k.len); off += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, data + off, 8);
+    h = (h ^ w) * 0xFF51AFD7ED558CCDull;
+    h ^= h >> 29;
+  }
+  return static_cast<std::size_t>(h);
+}
+
+/// Hash functor over either key (the witness path's parenthood map).
 template <typename Key>
 struct KeyHash {
-  std::size_t operator()(const Key& k) const noexcept {
-    std::uint64_t h = 0x9E3779B97F4A7C15ull ^ k.len;
-    const std::uint8_t* data = k.data();
-    const std::size_t words = Key::kFixedHashSpan != 0
-                                  ? Key::kFixedHashSpan  // constant trip count
-                                  : round8(k.len);
-    for (std::size_t off = 0; off < words; off += 8) {
-      std::uint64_t w;
-      std::memcpy(&w, data + off, 8);
-      h = (h ^ w) * 0xFF51AFD7ED558CCDull;
-      h ^= h >> 29;
-    }
-    return static_cast<std::size_t>(h);
-  }
+  std::size_t operator()(const Key& k) const noexcept { return hash_key(k); }
 };
 
 /// Open-addressing visited set: linear probing over flat key slots
-/// (emptiness is the key's own len == 0 marker, so a slot carries no
-/// metadata beyond the key bytes — at 17 bytes per 5-app slot the table
-/// stays several times smaller than a node-based set and the BFS's tens
-/// of millions of membership-or-insert probes stay in cache accordingly).
+/// (emptiness is the key's own marker, so a slot carries no metadata
+/// beyond the key — at 8 bytes per coded state the table stays several
+/// times smaller than a node-based set and the BFS's tens of millions of
+/// membership-or-insert probes stay in cache accordingly).
 ///
 /// Growth policy (shared by the serial and the striped parallel paths):
 /// capacity is always a power of two sized once, up front, to the 0.75
@@ -122,24 +111,27 @@ struct KeyHash {
 template <typename Key>
 class VisitedSet {
  public:
-  /// Default sizing matches the BFS workloads (a few hundred thousand
-  /// states); the striped set passes a smaller initial capacity since it
-  /// splits one logical table 64 ways.
-  explicit VisitedSet(std::size_t initial_capacity = std::size_t{1} << 16) {
+  /// Starts small (a tiny proof pays for a tiny table); growth re-homes
+  /// in prefetched blocks, so a large proof's doublings stay cheap.
+  explicit VisitedSet(std::size_t initial_capacity = std::size_t{1} << 10) {
     rehash(initial_capacity);
   }
 
   [[nodiscard]] static std::size_t hash_of(const Key& k) noexcept {
-    return KeyHash<Key>{}(k);
+    return hash_key(k);
   }
 
   /// Pre-sizes for `n` expected keys: rounds the capacity up (power-of-two
-  /// doubling) until `n` keys fit under the 0.75 load-factor bound. This
+  /// growth) until `n` keys fit under the 0.75 load-factor bound. This
   /// is the one place the growth decision lives — insert_hashed() never
-  /// re-checks it.
+  /// re-checks it. Tables below kQuadrupleBelow slots grow fourfold: a
+  /// proof of a few ten thousand states would otherwise spend more time
+  /// re-homing through its doublings than the slack of at most 512 KB is
+  /// worth.
   void reserve(std::size_t n) {
     std::size_t capacity = mask_ + 1;
-    while (capacity - capacity / 4 < n) capacity *= 2;
+    while (capacity - capacity / 4 < n)
+      capacity *= capacity < kQuadrupleBelow ? 4 : 2;
     if (capacity > mask_ + 1) rehash(capacity);
   }
 
@@ -183,17 +175,38 @@ class VisitedSet {
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
  private:
+  static constexpr std::size_t kQuadrupleBelow = std::size_t{1} << 16;
+  /// Old keys moved per prefetched block while re-homing.
+  static constexpr std::size_t kRehomeBlock = 64;
+
   void rehash(std::size_t capacity) {
     std::vector<Key> old = std::move(slots_);
     slots_.assign(capacity, Key{});
     mask_ = capacity - 1;
     grow_at_ = capacity - capacity / 4;  // load factor 0.75
+    // Re-home in blocks, as the probe path inserts: hash a block of old
+    // keys, prefetch their new home slots, then place them, so the
+    // placement probes find their lines on the way instead of missing
+    // one after another.
+    std::array<std::size_t, kRehomeBlock> hashes;
+    std::array<Key*, kRehomeBlock> pending;
+    std::size_t n = 0;
+    auto place = [&]() {
+      for (std::size_t j = 0; j < n; ++j) {
+        std::size_t i = hashes[j] & mask_;
+        while (!slots_[i].empty()) i = (i + 1) & mask_;
+        slots_[i] = std::move(*pending[j]);
+      }
+      n = 0;
+    };
     for (Key& k : old) {
       if (k.empty()) continue;
-      std::size_t i = KeyHash<Key>{}(k)&mask_;
-      while (!slots_[i].empty()) i = (i + 1) & mask_;
-      slots_[i] = std::move(k);
+      hashes[n] = hash_key(k);
+      pending[n] = &k;
+      prefetch(hashes[n]);
+      if (++n == kRehomeBlock) place();
     }
+    place();
   }
 
   std::vector<Key> slots_;
@@ -231,8 +244,7 @@ class StripedVisitedSet {
  public:
   struct Stripe {
     support::Mutex mu;
-    VisitedSet<Key> set GUARDED_BY(mu) =
-        VisitedSet<Key>(std::size_t{1} << 10);
+    VisitedSet<Key> set GUARDED_BY(mu);
   };
 
   static constexpr std::size_t kNumStripes = kStripes;

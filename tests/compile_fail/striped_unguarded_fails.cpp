@@ -12,10 +12,9 @@
 #include "verify/visited_set.h"
 
 int main() {
-  using Key = ttdim::verify::detail::SmallKey;
+  using Key = ttdim::verify::detail::StateCode;
   ttdim::verify::detail::StripedVisitedSet<Key> visited;
-  Key key;
-  key.len = 3;
+  const Key key{3};
   const std::size_t hash =
       ttdim::verify::detail::VisitedSet<Key>::hash_of(key);
   auto& stripe = visited.stripe_of(hash);

@@ -1,9 +1,11 @@
-// DiscreteVerifier beyond the packed cap and across state backends: more
-// than DiscreteVerifier::kMaxApps (5) applications must solve (heap
-// fallback) instead of throwing, the packed and unpacked encodings must
-// be observably identical, and the prefix-extension entry point must
-// reproduce from-scratch results byte-for-byte on safe configurations —
-// the invariant the incremental admission oracle rests on.
+// DiscreteVerifier beyond the dense code and across state backends: more
+// than DiscreteVerifier::kMaxApps (5) applications, or fields wider than
+// 63 bits, must solve on the heap key instead of throwing; the dense
+// 8-byte code and the heap key must be observably identical (verdicts,
+// snapshot bytes, seeded extensions); and the prefix-extension entry
+// point must reproduce from-scratch results byte-for-byte on safe
+// configurations — the invariant the incremental admission oracle rests
+// on.
 #include <stdexcept>
 #include <vector>
 
@@ -34,10 +36,10 @@ std::vector<AppTiming> clones(int n, int t_star, int t_minus, int t_plus,
   return apps;
 }
 
-// ------------------------------------------------- beyond the packed cap --
+// ------------------------------------------------- beyond the dense code --
 
 TEST(DiscreteLarge, SeventeenAppsVerifyInsteadOfThrowing) {
-  // Far past the packed representation's 5 apps. A slot shared by
+  // Far past the dense code's 5 apps. A slot shared by
   // 17 tight-deadline apps is hopeless, and the depth-first dive finds
   // the violation without enumerating the full breadth of 2^17
   // disturbance subsets per level. Distinct T*w values keep the EDF grant
@@ -76,30 +78,74 @@ TEST(DiscreteLarge, AbsoluteCapStillRefuses) {
 // ----------------------------------------------------- backend equality --
 
 TEST(DiscreteLarge, UnpackedBackendMatchesPackedVerdicts) {
-  // Same configurations through the packed key and the forced heap
-  // fallback: verdicts (including witnesses) must be indistinguishable.
-  const std::vector<std::vector<AppTiming>> configs = {
-      {uniform_app("A", 3, 2, 4, 10)},
-      {uniform_app("A", 3, 2, 4, 10), uniform_app("B", 5, 1, 2, 9)},
+  // Same configurations through the default key (the dense code where it
+  // fits) and the forced heap key: verdicts (including witnesses), the
+  // captured snapshot bytes and a seeded extension from the population
+  // minus its last app must be indistinguishable.
+  struct Config {
+    std::vector<AppTiming> apps;
+    int bound;
+  };
+  const std::vector<Config> configs = {
+      {{uniform_app("A", 3, 2, 4, 10)}, -1},
+      {{uniform_app("A", 3, 2, 4, 10), uniform_app("B", 5, 1, 2, 9)}, -1},
       // Unsafe triple (same as the oracle tests): two back-to-back TT
       // episodes outlast the third app's T*w.
-      {uniform_app("A", 2, 2, 2, 7), uniform_app("B", 2, 2, 2, 7),
-       uniform_app("C", 2, 2, 2, 7)},
-      // Five apps fill the packed key (15 of 16 bytes); bounded to stay
-      // quick.
-      clones(5, 2, 1, 2, 6),
+      {{uniform_app("A", 2, 2, 2, 7), uniform_app("B", 2, 2, 2, 7),
+        uniform_app("C", 2, 2, 2, 7)},
+       -1},
+      // Five apps, the most the code takes; bounded to stay quick.
+      {clones(5, 2, 1, 2, 6), 1},
+      // Five apps whose fields would need 5 x 14 = 70 bits (T*w and T+dw
+      // of 100, r = 249), so the default itself falls back to the heap
+      // key, while the 4-app prefix (56 bits) still runs on the code.
+      // A zero budget keeps the reachable set to the initial state.
+      {clones(5, 100, 100, 100, 249), 0},
   };
   for (size_t c = 0; c < configs.size(); ++c) {
-    const DiscreteVerifier verifier(configs[c]);
+    const std::vector<AppTiming>& apps = configs[c].apps;
+    const DiscreteVerifier verifier(apps);
     for (const bool witness : {false, true}) {
-      DiscreteVerifier::Options packed;
-      packed.want_witness = witness;
-      if (configs[c].size() >= 5) packed.max_disturbances_per_app = 1;
-      DiscreteVerifier::Options unpacked = packed;
-      unpacked.backend = DiscreteVerifier::StateBackend::kUnpacked;
-      EXPECT_EQ(verifier.verify(packed), verifier.verify(unpacked))
+      DiscreteVerifier::Options code;
+      code.want_witness = witness;
+      code.max_disturbances_per_app = configs[c].bound;
+      DiscreteVerifier::Options heap = code;
+      heap.backend = DiscreteVerifier::StateBackend::kUnpacked;
+      EXPECT_EQ(verifier.verify(code), verifier.verify(heap))
           << "config " << c << " witness " << witness;
     }
+
+    DiscreteVerifier::Options code;
+    code.max_disturbances_per_app = configs[c].bound;
+    DiscreteVerifier::Options heap = code;
+    heap.backend = DiscreteVerifier::StateBackend::kUnpacked;
+    ExplorationState code_snapshot;
+    ExplorationState heap_snapshot;
+    EXPECT_EQ(verifier.verify(code, nullptr, &code_snapshot),
+              verifier.verify(heap, nullptr, &heap_snapshot))
+        << "config " << c;
+    EXPECT_EQ(code_snapshot.napps, heap_snapshot.napps) << c;
+    EXPECT_EQ(code_snapshot.packed, heap_snapshot.packed) << c;
+    if (apps.size() < 2) continue;
+
+    // Both backends extend the snapshot of the longest safe strict prefix
+    // (a lone app is always safe); the record format is shared, whichever
+    // key captured it.
+    ExplorationState prefix;
+    long n = static_cast<long>(apps.size()) - 1;
+    while (!DiscreteVerifier({apps.begin(), apps.begin() + n})
+                .verify(code, nullptr, &prefix)
+                .safe)
+      --n;
+    ExplorationState code_extension;
+    ExplorationState heap_extension;
+    EXPECT_EQ(verifier.verify(code, &prefix, &code_extension),
+              verifier.verify(heap, &prefix, &heap_extension))
+        << "config " << c;
+    EXPECT_EQ(code_extension.packed, heap_extension.packed) << c;
+    if (!code_snapshot.packed.empty())
+      EXPECT_EQ(code_extension.state_count(), code_snapshot.state_count())
+          << c;
   }
 }
 
@@ -183,16 +229,16 @@ TEST(DiscreteLarge, ParallelMatchesSerialOnSafeConfigs) {
   // verdict equality with serial at any thread count — same safe flag and
   // the same states_explored, because level-synchronous exact dedup makes
   // the count the (order-independent) reachable-set size. Checked on the
-  // packed key and the forced heap fallback, at 2 and 8 threads
+  // dense code and the forced heap key, at 2 and 8 threads
   // (8 on a small box exercises chunk counts far above the worker count).
   struct Config {
     std::vector<AppTiming> apps;
     int bound;
   };
   const std::vector<Config> configs = {
-      {clones(3, 4, 1, 1, 9), 2},  // 9 of the 16 key bytes
-      {clones(4, 4, 1, 1, 8), 2},  // 12 key bytes, ~150k states
-      {clones(5, 4, 1, 1, 8), 1},  // 15 key bytes, ~123k states
+      {clones(3, 4, 1, 1, 9), 2},  // 21 of the code's 63 bits
+      {clones(4, 4, 1, 1, 8), 2},  // 28 code bits, ~150k states
+      {clones(5, 4, 1, 1, 8), 1},  // 30 code bits, ~123k states
   };
   for (size_t c = 0; c < configs.size(); ++c) {
     const DiscreteVerifier verifier(configs[c].apps);
@@ -258,7 +304,7 @@ TEST(DiscreteLarge, ParallelBudgetExhaustionParity) {
 }
 
 TEST(DiscreteLarge, ParallelHeapFallbackMatchesSerial) {
-  // Past the packed cap the parallel driver runs the same heap-backed
+  // Past the code's 5 apps the parallel driver runs the same heap-backed
   // shape as serial; a zero disturbance budget keeps the 17-app space to
   // its single initial state while still driving the full level loop.
   std::vector<AppTiming> apps;

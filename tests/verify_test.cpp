@@ -1,7 +1,10 @@
 // Tests for the verification layer: the exact discrete verifier, the
 // timed-automata model, and — crucially — their agreement, since the
 // paper's central claim rests on this reachability analysis.
+#include <cstddef>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "casestudy/apps.h"
 #include "gtest/gtest.h"
@@ -261,6 +264,103 @@ TEST(CaseStudyPartitions, BoundedVerdictMatchesUnboundedOnS2) {
   bounded.max_disturbances_per_app = 2;
   EXPECT_TRUE(DiscreteVerifier(s2).verify(bounded).safe);
   EXPECT_TRUE(DiscreteVerifier(s2).verify().safe);
+}
+
+/// FNV-1a digest of a snapshot's records, so a whole discovery order fits
+/// on one line.
+std::uint64_t digest(const ExplorationState& snapshot) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::uint8_t b : snapshot.packed) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(CaseStudyPartitions, SerialDiscoveryOrderIsPinned) {
+  // The serial BFS's discovery order is part of its contract: snapshots,
+  // seeded extensions and fingerprints all replay it. The digests pin it
+  // byte for byte on the Table-1 slots, in first-fit order, so a change
+  // to the state key, the probe batching or the visited table can move
+  // speed but never an emitted state.
+  const AppTiming c1 = case_study_timing(casestudy::c1());
+  const AppTiming c2 = case_study_timing(casestudy::c2());
+  const AppTiming c3 = case_study_timing(casestudy::c3());
+  const AppTiming c4 = case_study_timing(casestudy::c4());
+  const AppTiming c5 = case_study_timing(casestudy::c5());
+  const AppTiming c6 = case_study_timing(casestudy::c6());
+  const DiscreteVerifier::Options fresh;
+  auto capture = [](const std::vector<AppTiming>& apps,
+                    const DiscreteVerifier::Options& options,
+                    const ExplorationState* seed, ExplorationState& out) {
+    const SlotVerdict verdict =
+        DiscreteVerifier(apps).verify(options, seed, &out);
+    EXPECT_TRUE(verdict.safe);
+    EXPECT_EQ(static_cast<std::size_t>(verdict.states_explored),
+              out.state_count());
+    return verdict.states_explored;
+  };
+
+  ExplorationState s1;
+  EXPECT_EQ(capture({c1, c5, c4, c3}, fresh, nullptr, s1), 1440712);
+  EXPECT_EQ(digest(s1), 0x3eb883f658b7180dull);
+
+  ExplorationState prefix;
+  EXPECT_EQ(capture({c1, c5, c4}, fresh, nullptr, prefix), 28126);
+  EXPECT_EQ(digest(prefix), 0x501161181587b588ull);
+
+  ExplorationState seeded;
+  EXPECT_EQ(capture({c1, c5, c4, c3}, fresh, &prefix, seeded), 1440712);
+  EXPECT_EQ(digest(seeded), 0xef0820e7b0108a5dull);
+
+  DiscreteVerifier::Options budget1;
+  budget1.max_disturbances_per_app = 1;
+  ExplorationState bounded;
+  EXPECT_EQ(capture({c1, c5, c4, c3}, budget1, nullptr, bounded), 1620563);
+  EXPECT_EQ(digest(bounded), 0xc124870497e1128bull);
+
+  ExplorationState s2;
+  EXPECT_EQ(capture({c6, c2}, fresh, nullptr, s2), 10201);
+  EXPECT_EQ(digest(s2), 0xc53eb4fb04b79a84ull);
+}
+
+TEST(CaseStudyPartitions, SerialViolationsArePinned) {
+  // Unsafe slots: the breadth-first violator and its pop, the depth-first
+  // dive's, and the length of the shortest (breadth-first) witness.
+  const AppTiming c1 = case_study_timing(casestudy::c1());
+  const AppTiming c2 = case_study_timing(casestudy::c2());
+  const AppTiming c4 = case_study_timing(casestudy::c4());
+  const AppTiming c5 = case_study_timing(casestudy::c5());
+  const AppTiming c6 = case_study_timing(casestudy::c6());
+  const struct {
+    std::vector<AppTiming> apps;
+    long bfs_states;
+    int bfs_violator;
+    long dfs_states;
+    int dfs_violator;
+    std::size_t witness_ticks;
+  } cases[] = {{{c1, c5, c4, c6}, 47276, 0, 14, 1, 13},
+               {{c1, c5, c4, c2}, 57186, 2, 441, 1, 14}};
+  for (const auto& c : cases) {
+    const DiscreteVerifier verifier(c.apps);
+    const SlotVerdict bfs = verifier.verify();
+    EXPECT_FALSE(bfs.safe);
+    EXPECT_EQ(bfs.states_explored, c.bfs_states);
+    EXPECT_EQ(bfs.violator, c.bfs_violator);
+
+    DiscreteVerifier::Options dive;
+    dive.depth_first = true;
+    const SlotVerdict dfs = verifier.verify(dive);
+    EXPECT_FALSE(dfs.safe);
+    EXPECT_EQ(dfs.states_explored, c.dfs_states);
+    EXPECT_EQ(dfs.violator, c.dfs_violator);
+
+    DiscreteVerifier::Options witness;
+    witness.want_witness = true;
+    const SlotVerdict shortest = verifier.verify(witness);
+    EXPECT_FALSE(shortest.safe);
+    EXPECT_EQ(shortest.witness_ticks.size(), c.witness_ticks);
+  }
 }
 
 }  // namespace
