@@ -1,6 +1,6 @@
 # Configure-time proof that the thread-safety contract layer is alive.
 #
-# Three try_compile probes over tests/compile_fail/:
+# Two try_compile probes over tests/compile_fail/:
 #   * guarded_access_ok.cpp      must COMPILE — a correctly locked
 #     GUARDED_BY access is accepted (and under g++, where the macros are
 #     no-ops, this doubles as the zero-cost-compat check).
@@ -9,11 +9,6 @@
 #     access. Without this negative test, a typo'd macro gate (annotations
 #     silently expanding to nothing under clang) would let every contract
 #     in src/engine/ rot while the lane stays green.
-#   * striped_unguarded_fails.cpp must NOT COMPILE under clang either:
-#     the REQUIRES-annotated batched-flush helpers of the parallel
-#     verifier's StripedVisitedSet (src/verify/visited_set.h) called
-#     lock-free — proving the contracts the parallel BFS dedup rests on
-#     are themselves alive, not just the generic annotation layer.
 include_guard(GLOBAL)
 
 function(ttdim_thread_safety_checks)
@@ -58,25 +53,9 @@ function(ttdim_thread_safety_checks)
         "-Wthread-safety -Werror — the analysis is not rejecting contract "
         "violations, so every GUARDED_BY/REQUIRES in src/ is unenforced.")
     endif()
-    try_compile(ttdim_tsa_striped
-      "${CMAKE_BINARY_DIR}/ttdim_tsa_check/striped"
-      "${check_dir}/striped_unguarded_fails.cpp"
-      COMPILE_DEFINITIONS "${tsa_flags}"
-      CMAKE_FLAGS "-DINCLUDE_DIRECTORIES=${src_include}"
-      CXX_STANDARD 17
-      CXX_STANDARD_REQUIRED ON
-      OUTPUT_VARIABLE ttdim_tsa_striped_log)
-    if(ttdim_tsa_striped)
-      message(FATAL_ERROR
-        "thread-safety check: the unguarded striped-visited-set probe "
-        "(tests/compile_fail/striped_unguarded_fails.cpp) COMPILED under "
-        "-Wthread-safety -Werror — the REQUIRES contracts on "
-        "verify::detail::StripedVisitedSet are unenforced, so the "
-        "parallel BFS driver's dedup locking is unproven.")
-    endif()
     message(STATUS
-      "Thread-safety analysis live: unguarded access rejected (generic "
-      "and striped visited set), guarded access accepted")
+      "Thread-safety analysis live: unguarded access rejected, guarded "
+      "access accepted")
   else()
     message(STATUS
       "Thread-safety annotations are no-ops for ${CMAKE_CXX_COMPILER_ID}; "

@@ -4,8 +4,8 @@
 Compares fresh google-benchmark JSON reports (bench_oracle; bench_batch
 for BM_CaseStudySolveAnalysisWarm, BM_CaseStudySolveSubsumptionWarm and
 BM_CaseStudySolveDiskWarm; bench_verification for the case-study slot
-proofs BM_DiscreteS1 / BM_DiscreteS2 and the BM_DiscreteLarge
-serial/parallel verifier pair; bench_redimension for the
+proofs BM_DiscreteS1 / BM_DiscreteS2 and the BM_DiscreteLarge/1
+heap-key proof; bench_redimension for the
 BM_RedimensionWarmChurn / BM_RedimensionColdPerEvent warm-vs-cold churn
 pair; bench_table1 for the per-application analysis layers) against
 the checked-in bench/BENCH_baseline.json. Any gated benchmark that cannot be compared —
@@ -47,15 +47,11 @@ GATED = [
     "BM_CaseStudySolveDiskWarm",
     # The discrete verifier (bench_verification): one fresh serial proof
     # per case-study slot, S1 = {C1,C5,C4,C3} (1.44 M states) and
-    # S2 = {C6,C2} (10 k states); then the heap-key hot loop, serial and
-    # the Executor-parallel driver at 8 threads. BM_DiscreteLarge is gated
-    # as two absolute (calibrated) times, not a speedup ratio — on a
-    # single-core runner the parallel time legitimately equals the serial
-    # one.
+    # S2 = {C6,C2} (10 k states); then the budget-capped heap-key hot
+    # loop of 17 apps.
     "BM_DiscreteS1",
     "BM_DiscreteS2",
     "BM_DiscreteLarge/1",
-    "BM_DiscreteLarge/8",
     # Online re-dimensioning (bench_redimension): the steady-state warm
     # remove+re-add cycle through a standing DimensioningSession, and the
     # from-scratch solve pair a redimension-less daemon would pay for the

@@ -100,12 +100,11 @@ struct SolveOptions {
   /// once instead of per job. nullptr gives the solve a private cache.
   std::shared_ptr<engine::analysis::AnalysisCache> analysis_cache;
   /// Thread budget of each discrete admission proof
-  /// (verify::DiscreteVerifier::Options::proof_threads): 1 = serial
-  /// (default), 0 = hardware concurrency. > 1 routes fresh full proofs
-  /// to the Executor-parallel BFS driver; prefix-seeded extensions and
-  /// witness/depth-first diagnostics stay serial (their discovery order
-  /// is part of their contract). Results are independent of this value,
-  /// so it is excluded from SolveKey.
+  /// (verify::DiscreteVerifier::Options::proof_threads): 0 resolves to
+  /// the hardware concurrency, and the result is echoed in
+  /// SolveStats::proof_threads. The verifier ignores it, so results,
+  /// snapshots and every other SolveStats counter are independent of
+  /// it, and it is excluded from SolveKey.
   int proof_threads = 1;
   /// Persistent second tier under the memory caches
   /// (engine/cache/disk_cache.h): analysis results and admission

@@ -70,7 +70,6 @@ void stamp_oracle(const IncrementalAdmissionOracle& oracle,
   stats.prefix_hits += oracle.prefix_hits();
   stats.states_reused += oracle.states_reused();
   stats.states_extended += oracle.states_extended();
-  stats.parallel_proofs += oracle.parallel_proofs();
   stats.proof_threads = oracle.options().proof_threads;
 }
 

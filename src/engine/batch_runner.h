@@ -5,9 +5,6 @@
 // bit-identical to the serial loop — workers steal the next unclaimed
 // job index from the batch's cursor, and every result is written to its
 // job's slot, preserving input order regardless of completion order.
-// Because the pool is shared, a solve's own parallel proofs
-// (SolveOptions::proof_threads) ride the same threads instead of
-// spawning more on top of the batch's.
 //
 // Concurrency contract: BatchRunner itself is immutable after
 // construction and holds no lock — every index writes only its own

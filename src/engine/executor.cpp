@@ -207,30 +207,6 @@ void Executor::run(int parallelism, int n, const std::function<void(int)>& fn) {
       if (error) std::rethrow_exception(error);
 }
 
-int Executor::chunk_count(int parallelism, long n, long min_grain) {
-  TTDIM_EXPECTS(parallelism >= 1);
-  TTDIM_EXPECTS(n >= 0);
-  if (n == 0) return 0;
-  const long by_grain = n / std::max<long>(1, min_grain);
-  const long cap = std::min<long>(4L * parallelism, n);
-  return static_cast<int>(std::clamp(by_grain, 1L, cap));
-}
-
-void Executor::run_chunks(int parallelism, long n, long min_grain,
-                          const std::function<void(int, long, long)>& fn) {
-  const int chunks = chunk_count(parallelism, n, min_grain);
-  if (chunks == 0) return;
-  run(parallelism, chunks, [&](int chunk) {
-    // Even split without overflow-prone multiplication tricks: the first
-    // `n % chunks` chunks take one extra item.
-    const long base = n / chunks;
-    const long extra = n % chunks;
-    const long lo = chunk * base + std::min<long>(chunk, extra);
-    const long hi = lo + base + (chunk < extra ? 1 : 0);
-    fn(chunk, lo, hi);
-  });
-}
-
 int Executor::worker_count() const {
   support::MutexLock lock(impl_->mu);
   return static_cast<int>(impl_->workers.size());

@@ -1,7 +1,7 @@
 // Persistent work-stealing executor: one lazily-started worker pool
 // shared by every parallel construct in the process. BatchRunner batches
-// and the verifier's parallel proofs all submit here, so nested
-// parallelism shares one bounded set of threads instead of each layer
+// and parallel_for_index (the dwell-table search) both submit here, so
+// nested parallelism shares one bounded set of threads instead of each layer
 // spawning its own (the per-batch std::thread spawning this replaces
 // oversubscribed as soon as per-job cost dropped toward spawn overhead).
 //
@@ -54,22 +54,6 @@ class Executor {
   /// calling thread (fail-fast: the first exception propagates
   /// immediately and later indices never run).
   void run(int parallelism, int n, const std::function<void(int)>& fn);
-
-  /// Number of contiguous chunks run_chunks() splits [0, n) into: enough
-  /// for the pool to balance (up to 4x the parallelism, so an early
-  /// finisher can steal), never so many that chunks fall under
-  /// `min_grain` items, at least one when n > 0. Pure — callers size
-  /// per-chunk result buffers with it before submitting.
-  [[nodiscard]] static int chunk_count(int parallelism, long n,
-                                       long min_grain);
-
-  /// Splits [0, n) into chunk_count(parallelism, n, min_grain)
-  /// contiguous ranges and runs fn(chunk, lo, hi) for each under run()'s
-  /// scheduling (same ownership, blocking and exception contract, with
-  /// the chunk index as the job index). The level-submit helper of the
-  /// verifier's parallel BFS and of any other frontier-shaped fan-out.
-  void run_chunks(int parallelism, long n, long min_grain,
-                  const std::function<void(int, long, long)>& fn);
 
   /// Pool workers spawned so far (excludes calling threads).
   [[nodiscard]] int worker_count() const;

@@ -10,6 +10,7 @@
 #include <random>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "casestudy/apps.h"
@@ -436,16 +437,15 @@ void run_iteration(long it, const FuzzConfig& config, FamilyCaches& family,
     oracles.push_back(std::make_unique<oracle::IncrementalAdmissionOracle>(
         vopt, std::make_shared<oracle::VerdictCache>(),
         std::make_shared<oracle::SnapshotCache>(), true, family.disk));
-  // Parallel-verifier configuration: private exact cache only, so every
-  // miss of this walk is a fresh proof on the Executor-parallel driver
-  // (proof_threads = 2). Its verdicts are contractually identical to
-  // serial ones, so its slot assignment must match the reference byte
-  // for byte — every admission of the walk cross-checks the parallel
-  // BFS against the serial trajectory.
+  // Thread-budget configuration: private exact and snapshot caches, so
+  // every miss of this walk is a fresh proof or a seeded extension run
+  // with proof_threads = 2. A thread budget must never change a verdict,
+  // so its slot assignment must match the reference byte for byte.
   verify::DiscreteVerifier::Options pvopt = vopt;
   pvopt.proof_threads = 2;
   oracles.push_back(std::make_unique<oracle::IncrementalAdmissionOracle>(
-      pvopt, std::make_shared<oracle::VerdictCache>(), nullptr, false));
+      pvopt, std::make_shared<oracle::VerdictCache>(),
+      std::make_shared<oracle::SnapshotCache>(), false));
 
   const std::vector<int> order = mapping::paper_sort_order(apps);
   std::vector<mapping::SlotAssignment> assignments;
@@ -523,14 +523,10 @@ void run_iteration(long it, const FuzzConfig& config, FamilyCaches& family,
                      config, it, vopt, report);
   }
 
-  // Parallel-verifier differential, at verdict level: re-prove the
-  // walk's populations under proof_threads = 2 and hold the parallel
-  // driver to its full contract — identical `safe` always, identical
-  // states_explored when both sides completed a safe proof (the
-  // level-synchronous dedup makes the safe count the reachable-set size,
-  // order-independent). Budget exhaustion on either side skips the pair:
-  // throw parity is only promised for proofs that are safe when
-  // completed, which an exhausted run never reveals.
+  // Thread-budget differential, at verdict level: re-prove the walk's
+  // populations under proof_threads = 2 and require the serial verdict
+  // whole (safe, states_explored, violator). A budget throw must be
+  // shared too; a pair where both sides throw is skipped.
   verify::DiscreteVerifier::Options par_vopt = vopt;
   par_vopt.proof_threads = 2;
   const auto check_parallel = [&](const Population& pop) {
@@ -538,22 +534,22 @@ void run_iteration(long it, const FuzzConfig& config, FamilyCaches& family,
         guarded_verify(pop, vopt, false);
     const std::optional<verify::SlotVerdict> parallel =
         guarded_verify(pop, par_vopt, false);
-    if (!serial || !parallel) {
+    if (!serial && !parallel) {
       ++report.skipped_budget;
       return;
     }
     ++report.parallel_checks;
-    const bool mismatch =
-        serial->safe != parallel->safe ||
-        (serial->safe && serial->states_explored != parallel->states_explored);
-    if (!mismatch) return;
+    if (serial && parallel && *serial == *parallel) return;
     ++report.disagreements;
+    const auto describe = [](const std::optional<verify::SlotVerdict>& v) {
+      if (!v) return std::string("budget exhausted");
+      return std::string(v->safe ? "safe" : "unsafe") + "/" +
+             std::to_string(v->states_explored) + " states/violator " +
+             std::to_string(v->violator);
+    };
     std::ostringstream line;
     line << "iteration " << it << ": serial-vs-parallel verifier mismatch ("
-         << (serial->safe ? "safe" : "unsafe") << "/"
-         << serial->states_explored << " states vs "
-         << (parallel->safe ? "safe" : "unsafe") << "/"
-         << parallel->states_explored << " states)";
+         << describe(serial) << " vs " << describe(parallel) << ")";
     report.disagreement_summaries.push_back(line.str());
   };
   for (const Population& pop : slot_pops) check_parallel(pop);
@@ -705,9 +701,9 @@ void run_solve_check(long it, const FuzzConfig& config, FamilyCaches& family,
     core::SolveOptions o = base;
     o.verdict_cache = family.verdicts;
     o.snapshot_cache = family.snapshots;
-    // Fresh admission proofs on the parallel BFS driver (explicit 2, not
-    // 0: hardware concurrency may resolve to 1 on small CI boxes, which
-    // would silently drop the parallel path from the fingerprint check).
+    // Admission proofs with a thread budget of 2 (explicit 2, not 0:
+    // hardware concurrency may resolve to 1 on small CI boxes, which
+    // would silently drop the budget from the fingerprint check).
     o.proof_threads = 2;
     o.disk_cache = family.disk;  // null = tier off, same as elsewhere
     variants.emplace_back("tiers-shared-parallel", o);

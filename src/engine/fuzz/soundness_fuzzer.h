@@ -12,11 +12,12 @@
 //      configuration matrix (reference / exact-only / full-private /
 //      full-shared — the SolveOptions-toggle matrix at mapping level —
 //      plus a fresh-memory configuration over the persistent disk tier
-//      when a cache directory is configured, and a parallel-verifier
-//      configuration whose fresh proofs run with proof_threads = 2) and
+//      when a cache directory is configured, and a configuration whose
+//      fresh proofs and seeded extensions run with proof_threads = 2) and
 //      requires identical slot assignments; admitted and rejected
-//      populations are additionally re-proved serial-vs-parallel at
-//      verdict level (same `safe`; same states_explored when safe);
+//      populations are additionally re-proved at proof_threads 1 and 2,
+//      which must return the same whole verdict (or both exhaust the
+//      state budget);
 //   3. re-verifies every admitted slot population with a fresh BFS and
 //      simulates it against every ScenarioGenerator kind plus a max-rate
 //      hyperperiod sweep — an admitted population must never miss a
@@ -118,11 +119,12 @@ struct FuzzReport {
   /// when the campaign ran with a disk cache directory.
   long disk_hits = 0;
   bool disk_enabled = false;
-  /// Serial-vs-parallel verifier differentials performed: populations of
-  /// the walk re-proved under proof_threads = 2 and compared against the
-  /// serial verdict (same `safe` always; same states_explored when both
-  /// completed safe). Zero is a coverage gap ("config:parallel") — the
-  /// parallel driver must never silently drop out of the campaign.
+  /// Thread-budget verifier differentials performed: populations of the
+  /// walk re-proved under proof_threads = 2 and compared against the
+  /// serial verdict whole (safe, states_explored, violator; a budget
+  /// throw on one side only is a mismatch). Zero is a coverage gap
+  /// ("config:parallel") — the thread budget must never silently drop
+  /// out of the campaign.
   long parallel_checks = 0;
   /// Churn differential walks performed (on the solve_every cadence): a
   /// DimensioningSession's standing solution is driven through a

@@ -78,14 +78,9 @@ class IncrementalAdmissionOracle {
   /// tier-2 synthesized answers are not — the population that answered
   /// them is already stored. Results stay byte-identical tier on/off.
   ///
-  /// `options.proof_threads > 1` routes fresh full proofs (tier 4 with
-  /// no prefix seed, and the cacheless reference path) to the verifier's
-  /// Executor-parallel driver; prefix-seeded extensions and witness /
-  /// depth-first diagnostics always run serial, since their discovery
-  /// order is part of their contract. Parallel proofs capture no
-  /// snapshot, so the tier-3 seed of future extensions is traded for
-  /// this proof's wall time. Admission answers — and cached verdicts —
-  /// are identical either way (verify/discrete.h pins the contract).
+  /// `options.proof_threads` reaches every verifier run unchanged, and
+  /// the verifier ignores it (verify/discrete.h), so every tier, answer
+  /// and counter is the same at any thread count.
   IncrementalAdmissionOracle(verify::DiscreteVerifier::Options options,
                              std::shared_ptr<VerdictCache> verdicts,
                              std::shared_ptr<SnapshotCache> snapshots,
@@ -144,12 +139,6 @@ class IncrementalAdmissionOracle {
   [[nodiscard]] long prefix_hits() const noexcept {
     return prefix_hits_.load();
   }
-  /// Fresh proofs run on the Executor-parallel BFS driver
-  /// (options().proof_threads > 1 and no prefix seed; seeded
-  /// extensions and witness/DF diagnostics always run serial).
-  [[nodiscard]] long parallel_proofs() const noexcept {
-    return parallel_proofs_.load();
-  }
   /// States explored by verifier runs issued through this oracle.
   [[nodiscard]] long states_explored() const noexcept {
     return states_.load();
@@ -176,7 +165,6 @@ class IncrementalAdmissionOracle {
   mutable std::atomic<long> subsumption_cuts_{0};
   mutable std::atomic<long> misses_{0};
   mutable std::atomic<long> prefix_hits_{0};
-  mutable std::atomic<long> parallel_proofs_{0};
   mutable std::atomic<long> states_{0};
   mutable std::atomic<long> states_reused_{0};
   mutable std::atomic<long> states_extended_{0};

@@ -62,9 +62,8 @@ struct SlotConfigKey {
   /// make memoization observable). Witness/traversal options are
   /// excluded — the oracle caches only exhaustive safe verdicts
   /// and bypasses the cache for witness queries. proof_threads is
-  /// likewise excluded: serial and parallel proofs are contractually
-  /// interchangeable (identical verdicts, identical safe state counts —
-  /// verify/discrete.h), so they share cache entries.
+  /// likewise excluded: the verifier ignores it (verify/discrete.h), so
+  /// every thread count shares the cache entries.
   [[nodiscard]] static SlotConfigKey of(
       const std::vector<verify::AppTiming>& apps,
       const verify::DiscreteVerifier::Options& options);

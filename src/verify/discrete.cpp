@@ -2,17 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bitset>
 #include <cstring>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
-// The parallel proof driver fans frontier chunks out on the process-wide
-// work-stealing pool. This is the one place src/verify/ reaches into
-// src/engine/ (cpp-only; the header stays engine-free).
-#include "engine/executor.h"
 #include "support/check.h"
 #include "verify/visited_set.h"
 
@@ -292,10 +287,6 @@ constexpr size_t kMaxSteadyBranching = 26;
 /// enough to stay cache-resident.
 constexpr size_t kProbeBlock = 512;
 
-/// Minimum frontier states per parallel chunk — below this the chunking
-/// overhead beats the win.
-constexpr long kParallelGrain = 8;
-
 inline size_t ctz(size_t bits) {
   return static_cast<size_t>(__builtin_ctzll(bits));
 }
@@ -307,9 +298,8 @@ struct Probe {
   Key key;
 };
 
-/// One-state-to-all-successors generator, shared verbatim by the serial
-/// and the parallel drivers (which is what makes their reachable sets —
-/// and hence verdicts and states_explored — provably identical).
+/// One-state-to-all-successors generator of the breadth-first and the
+/// depth-first search (run_search).
 ///
 /// Two interior paths:
 ///  - expand_fast(): the kPaper no-witness hot path. Works directly on
@@ -882,127 +872,6 @@ SlotVerdict run_search(const Shape& shape, const std::vector<AppTiming>& apps,
   return verdict;
 }
 
-/// Level-synchronous parallel BFS: each level's frontier is split into
-/// contiguous chunks on the process-wide Executor; every chunk expands
-/// its states through the same Expander the serial driver uses and
-/// deduplicates through the striped visited set (per-stripe probe
-/// buckets, one lock + one ensure_room per stripe per flush). Because
-/// dedup is exact and the expansion relation is deterministic, the set
-/// of states discovered per level — and hence the whole reachable set —
-/// is identical to serial at any thread count; only the order within a
-/// level varies. A completed safe proof therefore reports exactly the
-/// serial states_explored.
-///
-/// max_states is enforced through a shared atomic budget charged once
-/// per expanded state (the same charging rule as the serial pop
-/// counter), so budget exhaustion fires iff the serial run would have
-/// fired it. A discovered violation wins over a concurrent budget trip:
-/// reporting unsafe is always the sounder answer, and it keeps the one
-/// corner where the two events race inside a single level (only
-/// possible when the budget lands mid-level of an unsafe proof)
-/// conservative.
-template <typename Shape>
-SlotVerdict run_parallel(const Shape& shape,
-                         const std::vector<AppTiming>& apps,
-                         const DiscreteVerifier::Options& options) {
-  using Key = typename Shape::Key;
-  using Striped = detail::StripedVisitedSet<Key>;
-
-  Striped visited;
-  std::vector<Key> frontier;
-  {
-    const Key init_key = shape.encode(shape.blank());
-    TTDIM_CHECK(visited.insert(VisitedSet<Key>::hash_of(init_key), init_key));
-    frontier.push_back(init_key);
-  }
-
-  std::atomic<long> expanded{0};
-  std::atomic<bool> over_budget{false};
-  std::atomic<bool> error_found{false};
-  std::atomic<int> violator{-1};
-
-  engine::Executor& executor = engine::Executor::global();
-  while (!frontier.empty()) {
-    const long level_size = static_cast<long>(frontier.size());
-    const int chunks = engine::Executor::chunk_count(
-        options.proof_threads, level_size, kParallelGrain);
-    std::vector<std::vector<Key>> next(static_cast<size_t>(chunks));
-    executor.run_chunks(
-        options.proof_threads, level_size, kParallelGrain,
-        [&](int chunk, long lo, long hi) {
-          Expander<Shape> expander(shape, apps, options);
-          std::vector<Key>& out = next[static_cast<size_t>(chunk)];
-          std::array<std::vector<Probe<Key>>, Striped::kNumStripes> buckets;
-          size_t pending = 0;
-          auto flush = [&]() {
-            for (size_t si = 0; si < Striped::kNumStripes; ++si) {
-              std::vector<Probe<Key>>& bucket = buckets[si];
-              if (bucket.empty()) continue;
-              typename Striped::Stripe& stripe = visited.stripe_at(si);
-              support::MutexLock lock(stripe.mu);
-              visited.reserve_in_stripe(stripe, bucket.size());
-              for (Probe<Key>& p : bucket)
-                if (visited.insert_in_stripe(stripe, p.hash, p.key))
-                  out.push_back(std::move(p.key));
-              bucket.clear();
-            }
-            pending = 0;
-          };
-          auto sink = [&](Key&& key) {
-            const size_t hash = VisitedSet<Key>::hash_of(key);
-            buckets[Striped::stripe_index(hash)].push_back(
-                Probe<Key>{hash, std::move(key)});
-            if (++pending >= kProbeBlock) flush();
-          };
-          typename Expander<Shape>::Violation violation;
-          for (long i = lo; i < hi; ++i) {
-            if (error_found.load(std::memory_order_relaxed) ||
-                over_budget.load(std::memory_order_relaxed))
-              return;  // another chunk already decided the proof's fate
-            const long count =
-                expanded.fetch_add(1, std::memory_order_relaxed) + 1;
-            if (count > options.max_states) {
-              over_budget.store(true, std::memory_order_relaxed);
-              return;
-            }
-            if (!expander.template expand<false>(
-                    frontier[static_cast<size_t>(i)], /*seed_pop=*/false,
-                    /*prefix_napps=*/0, violation, sink)) {
-              int expected = -1;
-              violator.compare_exchange_strong(expected, violation.violator,
-                                               std::memory_order_relaxed);
-              error_found.store(true, std::memory_order_relaxed);
-              return;
-            }
-          }
-          if (pending > 0) flush();
-        });
-    // run_chunks is a barrier (the Executor joins every chunk), so plain
-    // loads below observe everything the workers wrote.
-    if (error_found.load()) {
-      SlotVerdict verdict;
-      verdict.safe = false;
-      verdict.violator = violator.load();
-      verdict.states_explored = expanded.load();
-      return verdict;
-    }
-    if (over_budget.load())
-      throw std::runtime_error("DiscreteVerifier: state budget exhausted");
-
-    size_t total = 0;
-    for (const std::vector<Key>& v : next) total += v.size();
-    frontier.clear();
-    frontier.reserve(total);
-    for (std::vector<Key>& v : next)
-      for (Key& k : v) frontier.push_back(std::move(k));
-  }
-
-  SlotVerdict verdict;
-  verdict.safe = true;
-  verdict.states_explored = expanded.load();
-  return verdict;
-}
-
 }  // namespace
 
 DiscreteVerifier::DiscreteVerifier(std::vector<AppTiming> apps)
@@ -1031,26 +900,13 @@ SlotVerdict DiscreteVerifier::verify(const Options& options,
                                      ExplorationState* capture) const {
   // Snapshot records and heap keys store the disturbance count in 6 bits.
   TTDIM_EXPECTS(options.max_disturbances_per_app <= 62);
-  const bool parallel = options.proof_threads > 1;
-  if (parallel) {
-    // The parallel driver proves fresh, non-diagnostic queries only:
-    // witnesses need parenthood, depth-first is inherently a stack walk,
-    // and snapshot capture / prefix seeding rely on the serial FIFO
-    // discovery log (header contract; callers must drop to serial for
-    // those).
-    TTDIM_EXPECTS(extend_from == nullptr && capture == nullptr);
-    TTDIM_EXPECTS(!options.want_witness && !options.depth_first);
-  }
   if (options.backend != StateBackend::kUnpacked &&
       CodeShape::fits(apps_, options.max_disturbances_per_app)) {
     const CodeShape shape(apps_, options.max_disturbances_per_app);
-    return parallel
-               ? run_parallel(shape, apps_, options)
-               : run_search(shape, apps_, options, extend_from, capture);
+    return run_search(shape, apps_, options, extend_from, capture);
   }
   const HeapShape shape(apps_.size());
-  return parallel ? run_parallel(shape, apps_, options)
-                  : run_search(shape, apps_, options, extend_from, capture);
+  return run_search(shape, apps_, options, extend_from, capture);
 }
 
 void encode(support::codec::Encoder& enc, const SlotVerdict& verdict) {

@@ -149,23 +149,11 @@ class DiscreteVerifier {
     bool depth_first = false;
     /// Testing hook, see StateBackend.
     StateBackend backend = StateBackend::kAuto;
-    /// Thread budget for this proof. <= 1 (default) runs the serial
-    /// driver, whose discovery order — and therefore fingerprints,
-    /// snapshots and witnesses — is byte-identical across releases.
-    /// > 1 runs the level-synchronous parallel BFS on the process-wide
-    /// engine::Executor: per-level frontier chunks, striped visited set.
-    /// Contract: identical verdicts at any thread count, and identical
-    /// states_explored for completed safe proofs (level-synchronous
-    /// exact dedup makes the reachable set order-independent); unsafe
-    /// proofs agree on `safe` but may differ in violator and
-    /// states_explored, exactly like depth-first vs breadth-first.
-    /// max_states is enforced through a shared atomic budget with the
-    /// serial charging rule, so budget exhaustion of a safe proof fires
-    /// iff serial fires it. Parallel proofs are fresh-only: prefix
-    /// seeding, snapshot capture, witnesses and depth-first all require
-    /// the serial driver (precondition failure otherwise — see verify).
-    /// Never part of oracle cache keys: the contract makes serial and
-    /// parallel verdicts interchangeable.
+    /// Thread budget for this proof. Ignored: every proof runs the one
+    /// search on the calling thread, so no value changes a verdict, a
+    /// budget throw, a snapshot or a seeded extension. Never part of
+    /// oracle cache keys. Kept only so that existing callers that set it
+    /// still compile; it goes once they stop.
     int proof_threads = 1;
 
     Options() {}

@@ -1,15 +1,10 @@
 // Dedup machinery of the discrete-time verifier's BFS: the two state keys
 // (the dense 8-byte code and the heap-backed byte key) with their hashes,
-// the open-addressing VisitedSet, and the striped (sharded-by-hash)
-// variant the Executor-parallel proof driver deduplicates through.
+// and the open-addressing VisitedSet. One search owns one set, and only
+// its calling thread touches it.
 //
-// Everything here used to live in discrete.cpp's anonymous namespace; it
-// is a header so (a) the serial and parallel drivers share one growth /
-// load-factor policy, and (b) the striped set's GUARDED_BY/REQUIRES
-// contracts are visible to the configure-time thread-safety probes
-// (tests/compile_fail/striped_unguarded_fails.cpp must NOT compile under
-// clang -Wthread-safety). The types are verifier internals — nothing
-// outside src/verify/ and the compile probes should include this.
+// The types are verifier internals — nothing outside src/verify/ should
+// include this.
 #pragma once
 
 #include <array>
@@ -18,9 +13,7 @@
 #include <cstring>
 #include <vector>
 
-#include "support/check.h"
 #include "support/splitmix64.h"
-#include "support/thread_annotations.h"
 
 namespace ttdim::verify::detail {
 
@@ -99,13 +92,13 @@ struct KeyHash {
 /// times smaller than a node-based set and the BFS's tens of millions of
 /// membership-or-insert probes stay in cache accordingly).
 ///
-/// Growth policy (shared by the serial and the striped parallel paths):
-/// capacity is always a power of two sized once, up front, to the 0.75
-/// load-factor bound — reserve()/ensure_room() round the expected key
-/// count up to the bound, so the hot probe loop (insert_hashed) carries
-/// no growth check at all. Callers either use the checked insert()
-/// convenience, or batch: hash a block of candidates, ensure_room(block),
-/// prefetch() every home slot, then insert_hashed() in order — the
+/// Growth policy: capacity is always a power of two sized once, up
+/// front, to the 0.75 load-factor bound — reserve()/ensure_room() round
+/// the expected key count up to the bound, so the hot probe loop
+/// (insert_hashed) carries no growth check at all. Callers either use
+/// the checked insert() convenience, or batch: hash a block of
+/// candidates, ensure_room(block), prefetch() every home slot, then
+/// insert_hashed() in order — the
 /// prefetches overlap the probe loop's dependent loads, hiding the
 /// memory latency that dominates once the table outgrows the cache.
 template <typename Key>
@@ -213,94 +206,6 @@ class VisitedSet {
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
   std::size_t grow_at_ = 0;
-};
-
-constexpr std::size_t log2_floor(std::size_t n) {
-  std::size_t b = 0;
-  while (n > 1) {
-    n >>= 1;
-    ++b;
-  }
-  return b;
-}
-
-/// The parallel proof driver's visited set: one VisitedSet per stripe,
-/// sharded by the TOP bits of the key hash (the per-stripe tables index
-/// by the low bits, so the two selections never alias). Per-thread
-/// frontier chunks batch their candidate keys by stripe and take each
-/// stripe lock once per flush — with 64 stripes and a handful of worker
-/// threads, lock contention is negligible next to the expansion work.
-///
-/// The locking discipline is machine-checked: each stripe's table is
-/// GUARDED_BY its mutex and the batched helpers carry REQUIRES, so the
-/// clang -Wthread-safety lane proves every access path — the negative
-/// configure probe (striped_unguarded_fails.cpp) proves the proof is
-/// alive by failing to compile an unguarded stripe access.
-template <typename Key, std::size_t kStripes = 64>
-class StripedVisitedSet {
-  static_assert(kStripes >= 2 && (kStripes & (kStripes - 1)) == 0,
-                "stripe count must be a power of two");
-
- public:
-  struct Stripe {
-    support::Mutex mu;
-    VisitedSet<Key> set GUARDED_BY(mu);
-  };
-
-  static constexpr std::size_t kNumStripes = kStripes;
-  static constexpr std::size_t kStripeBits = log2_floor(kStripes);
-
-  /// Stripe selector: top hash bits, disjoint from the in-table index
-  /// bits (hash & mask), so shard skew never correlates with probe
-  /// clustering.
-  [[nodiscard]] static constexpr std::size_t stripe_index(
-      std::size_t hash) noexcept {
-    return hash >> (sizeof(std::size_t) * 8 - kStripeBits);
-  }
-
-  [[nodiscard]] Stripe& stripe_of(std::size_t hash) noexcept {
-    return stripes_[stripe_index(hash)];
-  }
-  [[nodiscard]] Stripe& stripe_at(std::size_t index) noexcept {
-    return stripes_[index];
-  }
-
-  /// Batched-flush protocol, under one lock acquisition per stripe:
-  /// reserve_in_stripe(count) once, then insert_in_stripe() for each
-  /// candidate — the growth check runs once per flush, not once per
-  /// probe, exactly like the serial ensure_room()/insert_hashed() pair.
-  void reserve_in_stripe(Stripe& stripe, std::size_t n) REQUIRES(stripe.mu) {
-    stripe.set.ensure_room(n);
-  }
-
-  /// True when newly inserted. Requires a preceding reserve_in_stripe()
-  /// covering the flush (same contract as VisitedSet::insert_hashed).
-  bool insert_in_stripe(Stripe& stripe, std::size_t hash, const Key& k)
-      REQUIRES(stripe.mu) {
-    return stripe.set.insert_hashed(hash, k);
-  }
-
-  /// Checked single-key convenience (seeding the initial state).
-  bool insert(std::size_t hash, const Key& k) {
-    Stripe& stripe = stripe_of(hash);
-    support::MutexLock lock(stripe.mu);
-    stripe.set.ensure_room(1);
-    return stripe.set.insert_hashed(hash, k);
-  }
-
-  /// Total keys across stripes (quiescent callers only — the per-stripe
-  /// locks are taken one at a time, so a concurrent insert can be missed).
-  [[nodiscard]] std::size_t size() {
-    std::size_t total = 0;
-    for (Stripe& stripe : stripes_) {
-      support::MutexLock lock(stripe.mu);
-      total += stripe.set.size();
-    }
-    return total;
-  }
-
- private:
-  std::array<Stripe, kStripes> stripes_;
 };
 
 }  // namespace ttdim::verify::detail

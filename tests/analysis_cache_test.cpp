@@ -292,9 +292,8 @@ std::vector<core::AppSpec> three_app_system() {
 
 TEST(AnalysisSolve, SerialAndParallelFingerprintIdentically) {
   // The acceptance property: byte-identical fingerprints serial and
-  // parallel (the parallel run proves its fresh admissions with the
-  // executor-backed parallel BFS). Cache-versus-fresh bit identity is
-  // pinned at the analyze_app level
+  // with a thread budget (proof_threads 4). Cache-versus-fresh bit
+  // identity is pinned at the analyze_app level
   // (AppAnalysis.CachedResultBitIdenticalToFresh).
   const std::vector<core::AppSpec> specs = three_app_system();
   core::SolveOptions serial;  // private analysis cache

@@ -2,11 +2,13 @@
 // than DiscreteVerifier::kMaxApps (5) applications, or fields wider than
 // 63 bits, must solve on the heap key instead of throwing; the dense
 // 8-byte code and the heap key must be observably identical (verdicts,
-// snapshot bytes, seeded extensions); and the prefix-extension entry
-// point must reproduce from-scratch results byte-for-byte on safe
+// snapshot bytes, seeded extensions); the prefix-extension entry point
+// must reproduce from-scratch results byte-for-byte on safe
 // configurations — the invariant the incremental admission oracle rests
-// on.
+// on; and a thread budget (proof_threads) must return exactly the serial
+// result for every query kind.
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -222,15 +224,13 @@ TEST(DiscreteLarge, ExtensionRejectsWitnessAndDepthFirst) {
                std::logic_error);
 }
 
-// -------------------------------------------------------- parallel proofs --
+// ---------------------------------------------------------- thread budget --
+// proof_threads is a hint the verifier ignores: at any value, every query
+// must return exactly the serial result.
 
 TEST(DiscreteLarge, ParallelMatchesSerialOnSafeConfigs) {
-  // Completed safe proofs: the parallel driver promises full structural
-  // verdict equality with serial at any thread count — same safe flag and
-  // the same states_explored, because level-synchronous exact dedup makes
-  // the count the (order-independent) reachable-set size. Checked on the
-  // dense code and the forced heap key, at 2 and 8 threads
-  // (8 on a small box exercises chunk counts far above the worker count).
+  // Completed safe proofs equal serial whole, on the dense code and the
+  // forced heap key, at 2 and 8 threads.
   struct Config {
     std::vector<AppTiming> apps;
     int bound;
@@ -261,52 +261,66 @@ TEST(DiscreteLarge, ParallelMatchesSerialOnSafeConfigs) {
 }
 
 TEST(DiscreteLarge, ParallelAgreesOnUnsafeConfigs) {
-  // Unsafe verdicts agree on `safe` and report a real violator; the
-  // violation found (and the states charged on the way) may differ —
-  // exactly like depth-first vs breadth-first, and documented as such.
+  // Unsafe verdicts equal serial whole (violator and states_explored
+  // included), on the code and on the heap key, at 2 and 8 threads.
   const std::vector<AppTiming> apps = clones(5, 3, 1, 1, 8);
   const DiscreteVerifier verifier(apps);
-  DiscreteVerifier::Options serial;
-  serial.max_disturbances_per_app = 1;
-  ASSERT_FALSE(verifier.verify(serial).safe);
-  for (const int threads : {2, 8}) {
-    DiscreteVerifier::Options parallel = serial;
-    parallel.proof_threads = threads;
-    const SlotVerdict verdict = verifier.verify(parallel);
-    EXPECT_FALSE(verdict.safe) << threads;
-    EXPECT_GE(verdict.violator, 0) << threads;
-    EXPECT_LT(verdict.violator, static_cast<int>(apps.size())) << threads;
+  for (const bool unpacked : {false, true}) {
+    DiscreteVerifier::Options serial;
+    serial.max_disturbances_per_app = 1;
+    if (unpacked) serial.backend = DiscreteVerifier::StateBackend::kUnpacked;
+    const SlotVerdict reference = verifier.verify(serial);
+    ASSERT_FALSE(reference.safe) << unpacked;
+    for (const int threads : {2, 8}) {
+      DiscreteVerifier::Options parallel = serial;
+      parallel.proof_threads = threads;
+      EXPECT_EQ(verifier.verify(parallel), reference)
+          << "threads " << threads << " unpacked " << unpacked;
+    }
   }
 }
 
 TEST(DiscreteLarge, ParallelBudgetExhaustionParity) {
-  // max_states runs through a shared atomic budget with the serial
-  // charging rule (one unit per expanded state), so for a safe proof the
-  // throw fires at exactly the same budget serial fires it: the full
-  // reachable set fits, one state fewer throws — at every thread count.
-  const std::vector<AppTiming> apps = clones(4, 4, 1, 1, 8);
-  const DiscreteVerifier verifier(apps);
-  DiscreteVerifier::Options exact;
-  exact.max_disturbances_per_app = 1;
-  const SlotVerdict reference = verifier.verify(exact);
-  ASSERT_TRUE(reference.safe);
-  exact.max_states = reference.states_explored;
-  DiscreteVerifier::Options starved = exact;
-  starved.max_states = reference.states_explored - 1;
-  for (const int threads : {1, 2, 8}) {
-    exact.proof_threads = threads;
-    starved.proof_threads = threads;
-    EXPECT_EQ(verifier.verify(exact), reference) << threads;
-    EXPECT_THROW(static_cast<void>(verifier.verify(starved)),
-                 std::runtime_error)
-        << threads;
+  // The budget that just fits a proof returns the serial verdict and one
+  // state fewer throws, for a safe proof (the whole reachable set) and an
+  // unsafe one (up to the violating pop), on both keys, at every thread
+  // count.
+  struct Config {
+    std::vector<AppTiming> apps;
+    bool safe;
+  };
+  const std::vector<Config> configs = {{clones(4, 4, 1, 1, 8), true},
+                                       {clones(5, 3, 1, 1, 8), false}};
+  for (size_t c = 0; c < configs.size(); ++c) {
+    const DiscreteVerifier verifier(configs[c].apps);
+    for (const bool unpacked : {false, true}) {
+      DiscreteVerifier::Options exact;
+      exact.max_disturbances_per_app = 1;
+      if (unpacked) exact.backend = DiscreteVerifier::StateBackend::kUnpacked;
+      const SlotVerdict reference = verifier.verify(exact);
+      ASSERT_EQ(reference.safe, configs[c].safe) << c;
+      exact.max_states = reference.states_explored;
+      DiscreteVerifier::Options starved = exact;
+      starved.max_states = reference.states_explored - 1;
+      for (const int threads : {1, 2, 8}) {
+        exact.proof_threads = threads;
+        starved.proof_threads = threads;
+        EXPECT_EQ(verifier.verify(exact), reference)
+            << "config " << c << " threads " << threads << " unpacked "
+            << unpacked;
+        EXPECT_THROW(static_cast<void>(verifier.verify(starved)),
+                     std::runtime_error)
+            << "config " << c << " threads " << threads << " unpacked "
+            << unpacked;
+      }
+    }
   }
 }
 
 TEST(DiscreteLarge, ParallelHeapFallbackMatchesSerial) {
-  // Past the code's 5 apps the parallel driver runs the same heap-backed
-  // shape as serial; a zero disturbance budget keeps the 17-app space to
-  // its single initial state while still driving the full level loop.
+  // Past the code's 5 apps a thread budget still returns the serial
+  // heap-key verdict; a zero disturbance budget keeps the 17-app space to
+  // its single initial state.
   std::vector<AppTiming> apps;
   for (int i = 0; i < 17; ++i)
     apps.push_back(uniform_app("L" + std::to_string(i), 1 + (i % 4), 1, 1, 8));
@@ -319,36 +333,64 @@ TEST(DiscreteLarge, ParallelHeapFallbackMatchesSerial) {
   EXPECT_EQ(verifier.verify(options), reference);
 }
 
-TEST(DiscreteLarge, ParallelRejectsSerialOnlyFeatures) {
-  // Witnesses, depth-first traversal, prefix seeding and snapshot capture
-  // all depend on the serial driver's discovery order; requesting them
-  // with a thread budget is a precondition failure, never a silent
-  // serial fallback the caller can't see.
-  const std::vector<AppTiming> pair = {uniform_app("A", 3, 2, 4, 10),
-                                       uniform_app("B", 5, 1, 2, 9)};
-  ExplorationState snapshot;
-  const DiscreteVerifier::Options base;
-  ASSERT_TRUE(DiscreteVerifier({pair[0]})
-                  .verify(base, nullptr, &snapshot)
-                  .safe);
-  const DiscreteVerifier verifier(pair);
-  DiscreteVerifier::Options witness;
-  witness.proof_threads = 2;
-  witness.want_witness = true;
-  EXPECT_THROW(static_cast<void>(verifier.verify(witness)), std::logic_error);
-  DiscreteVerifier::Options dfs;
-  dfs.proof_threads = 2;
-  dfs.depth_first = true;
-  EXPECT_THROW(static_cast<void>(verifier.verify(dfs)), std::logic_error);
-  DiscreteVerifier::Options parallel;
-  parallel.proof_threads = 2;
-  EXPECT_THROW(
-      static_cast<void>(verifier.verify(parallel, &snapshot, nullptr)),
-      std::logic_error);
-  ExplorationState capture;
-  EXPECT_THROW(
-      static_cast<void>(verifier.verify(parallel, nullptr, &capture)),
-      std::logic_error);
+TEST(DiscreteLarge, ParallelMatchesSerialOnEveryQueryKind) {
+  // A thread budget must not change what a query returns: a fresh proof's
+  // captured snapshot bytes, a seeded extension (safe and unsafe, with
+  // its snapshot), a witness query and a depth-first query all equal the
+  // serial result, on both keys, at 2 and 8 threads.
+  const std::vector<AppTiming> safe = {uniform_app("A", 3, 2, 4, 10),
+                                       uniform_app("B", 5, 1, 2, 9),
+                                       uniform_app("C", 4, 2, 2, 8)};
+  const std::vector<AppTiming> unsafe = {uniform_app("A", 2, 2, 2, 7),
+                                         uniform_app("B", 2, 2, 2, 7),
+                                         uniform_app("C", 2, 2, 2, 7)};
+  for (const bool unpacked : {false, true}) {
+    DiscreteVerifier::Options serial;
+    if (unpacked) serial.backend = DiscreteVerifier::StateBackend::kUnpacked;
+    DiscreteVerifier::Options witness = serial;
+    witness.want_witness = true;
+    DiscreteVerifier::Options dfs = serial;
+    dfs.depth_first = true;
+    for (const std::vector<AppTiming>* apps : {&safe, &unsafe}) {
+      const DiscreteVerifier verifier(*apps);
+      ExplorationState prefix;
+      ASSERT_TRUE(DiscreteVerifier({(*apps)[0], (*apps)[1]})
+                      .verify(serial, nullptr, &prefix)
+                      .safe);
+      ExplorationState fresh;
+      ExplorationState seeded;
+      const SlotVerdict fresh_verdict = verifier.verify(serial, nullptr, &fresh);
+      const SlotVerdict seeded_verdict =
+          verifier.verify(serial, &prefix, &seeded);
+      EXPECT_EQ(fresh_verdict.safe, apps == &safe);
+      const SlotVerdict witness_verdict = verifier.verify(witness);
+      const SlotVerdict dfs_verdict = verifier.verify(dfs);
+      for (const int threads : {2, 8}) {
+        const std::string where = std::string(apps == &safe ? "safe" : "unsafe") +
+                                  " threads " + std::to_string(threads) +
+                                  " unpacked " + std::to_string(unpacked);
+        DiscreteVerifier::Options parallel = serial;
+        parallel.proof_threads = threads;
+        ExplorationState parallel_fresh;
+        ExplorationState parallel_seeded;
+        EXPECT_EQ(verifier.verify(parallel, nullptr, &parallel_fresh),
+                  fresh_verdict)
+            << where;
+        EXPECT_EQ(parallel_fresh.napps, fresh.napps) << where;
+        EXPECT_EQ(parallel_fresh.packed, fresh.packed) << where;
+        EXPECT_EQ(verifier.verify(parallel, &prefix, &parallel_seeded),
+                  seeded_verdict)
+            << where;
+        EXPECT_EQ(parallel_seeded.packed, seeded.packed) << where;
+        DiscreteVerifier::Options parallel_witness = witness;
+        parallel_witness.proof_threads = threads;
+        EXPECT_EQ(verifier.verify(parallel_witness), witness_verdict) << where;
+        DiscreteVerifier::Options parallel_dfs = dfs;
+        parallel_dfs.proof_threads = threads;
+        EXPECT_EQ(verifier.verify(parallel_dfs), dfs_verdict) << where;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -107,22 +107,57 @@ TEST(RedimensionTest, SessionSolveMatchesFacadeFingerprint) {
             engine::fingerprint(via_facade));
 }
 
-TEST(RedimensionTest, ParallelSessionFingerprintMatchesSerial) {
-  const std::vector<core::AppSpec> specs = case_specs(3);
-  core::DimensioningSession serial(base_options());
-  core::SolveOptions parallel_options = base_options();
-  parallel_options.proof_threads = 0;
-  core::DimensioningSession parallel(parallel_options);
-  const std::string serial_fp = engine::fingerprint(serial.solve(specs));
-  EXPECT_EQ(serial_fp, engine::fingerprint(parallel.solve(specs)));
+/// The oracle counters of one pass: the thread budget must move none.
+void expect_same_oracle_counters(const engine::oracle::SolveStats& serial,
+                                 const engine::oracle::SolveStats& parallel) {
+  EXPECT_EQ(parallel.oracle_calls, serial.oracle_calls);
+  EXPECT_EQ(parallel.cache_hits, serial.cache_hits);
+  EXPECT_EQ(parallel.cache_misses, serial.cache_misses);
+  EXPECT_EQ(parallel.prefix_hits, serial.prefix_hits);
+  EXPECT_EQ(parallel.verifier_states, serial.verifier_states);
+  EXPECT_EQ(parallel.states_reused, serial.states_reused);
+  EXPECT_EQ(parallel.states_extended, serial.states_extended);
+}
 
-  // Redimension results are thread-count independent too: same delta on
-  // both sessions, same fingerprint.
-  core::Delta delta;
-  delta.remove.push_back("C2");
-  delta.add.push_back(case_specs(4)[3]);
-  EXPECT_EQ(engine::fingerprint(serial.redimension(delta)),
-            engine::fingerprint(parallel.redimension(delta)));
+TEST(RedimensionTest, ParallelSessionFingerprintMatchesSerial) {
+  // A thread budget changes no result: a solve and a churn walk on a
+  // session with proof_threads 4 or 0 (the hardware concurrency) reach
+  // the serial session's fingerprints and report its oracle counters,
+  // prefix tier included.
+  const std::vector<core::AppSpec> specs = case_specs(3);
+  const std::vector<core::AppSpec> more = case_specs(5);
+  std::vector<core::Delta> walk(4);
+  walk[0].remove.push_back("C2");
+  walk[0].add.push_back(more[3]);  // C4
+  walk[1].add.push_back(more[4]);  // C5
+  core::AppSpec slower_c3 = specs[2];
+  slower_c3.min_interarrival += 5;
+  walk[2].rerate.push_back(slower_c3);
+  walk[3].add.push_back(specs[1]);  // C2 rejoins
+
+  core::DimensioningSession serial(base_options());
+  const core::Solution serial_solve = serial.solve(specs);
+  std::vector<core::Solution> serial_walk;
+  for (const core::Delta& delta : walk)
+    serial_walk.push_back(serial.redimension(delta));
+  EXPECT_GT(serial_solve.stats.prefix_hits, 0);
+
+  for (const int threads : {4, 0}) {
+    SCOPED_TRACE("proof_threads " + std::to_string(threads));
+    core::SolveOptions parallel_options = base_options();
+    parallel_options.proof_threads = threads;
+    core::DimensioningSession parallel(parallel_options);
+    const core::Solution solved = parallel.solve(specs);
+    EXPECT_EQ(engine::fingerprint(solved), engine::fingerprint(serial_solve));
+    expect_same_oracle_counters(serial_solve.stats, solved.stats);
+    for (std::size_t step = 0; step < walk.size(); ++step) {
+      SCOPED_TRACE("delta " + std::to_string(step));
+      const core::Solution walked = parallel.redimension(walk[step]);
+      EXPECT_EQ(engine::fingerprint(walked),
+                engine::fingerprint(serial_walk[step]));
+      expect_same_oracle_counters(serial_walk[step].stats, walked.stats);
+    }
+  }
 }
 
 TEST(RedimensionTest, EmptyDeltaIsByteIdenticalIdentity) {

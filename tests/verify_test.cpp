@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "casestudy/apps.h"
@@ -282,14 +283,14 @@ TEST(CaseStudyPartitions, SerialDiscoveryOrderIsPinned) {
   // seeded extensions and fingerprints all replay it. The digests pin it
   // byte for byte on the Table-1 slots, in first-fit order, so a change
   // to the state key, the probe batching or the visited table can move
-  // speed but never an emitted state.
+  // speed but never an emitted state. The verifier ignores a thread
+  // budget, so every proof_threads value must reach the same digests.
   const AppTiming c1 = case_study_timing(casestudy::c1());
   const AppTiming c2 = case_study_timing(casestudy::c2());
   const AppTiming c3 = case_study_timing(casestudy::c3());
   const AppTiming c4 = case_study_timing(casestudy::c4());
   const AppTiming c5 = case_study_timing(casestudy::c5());
   const AppTiming c6 = case_study_timing(casestudy::c6());
-  const DiscreteVerifier::Options fresh;
   auto capture = [](const std::vector<AppTiming>& apps,
                     const DiscreteVerifier::Options& options,
                     const ExplorationState* seed, ExplorationState& out) {
@@ -301,27 +302,33 @@ TEST(CaseStudyPartitions, SerialDiscoveryOrderIsPinned) {
     return verdict.states_explored;
   };
 
-  ExplorationState s1;
-  EXPECT_EQ(capture({c1, c5, c4, c3}, fresh, nullptr, s1), 1440712);
-  EXPECT_EQ(digest(s1), 0x3eb883f658b7180dull);
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE("proof_threads " + std::to_string(threads));
+    DiscreteVerifier::Options fresh;
+    fresh.proof_threads = threads;
 
-  ExplorationState prefix;
-  EXPECT_EQ(capture({c1, c5, c4}, fresh, nullptr, prefix), 28126);
-  EXPECT_EQ(digest(prefix), 0x501161181587b588ull);
+    ExplorationState s1;
+    EXPECT_EQ(capture({c1, c5, c4, c3}, fresh, nullptr, s1), 1440712);
+    EXPECT_EQ(digest(s1), 0x3eb883f658b7180dull);
 
-  ExplorationState seeded;
-  EXPECT_EQ(capture({c1, c5, c4, c3}, fresh, &prefix, seeded), 1440712);
-  EXPECT_EQ(digest(seeded), 0xef0820e7b0108a5dull);
+    ExplorationState prefix;
+    EXPECT_EQ(capture({c1, c5, c4}, fresh, nullptr, prefix), 28126);
+    EXPECT_EQ(digest(prefix), 0x501161181587b588ull);
 
-  DiscreteVerifier::Options budget1;
-  budget1.max_disturbances_per_app = 1;
-  ExplorationState bounded;
-  EXPECT_EQ(capture({c1, c5, c4, c3}, budget1, nullptr, bounded), 1620563);
-  EXPECT_EQ(digest(bounded), 0xc124870497e1128bull);
+    ExplorationState seeded;
+    EXPECT_EQ(capture({c1, c5, c4, c3}, fresh, &prefix, seeded), 1440712);
+    EXPECT_EQ(digest(seeded), 0xef0820e7b0108a5dull);
 
-  ExplorationState s2;
-  EXPECT_EQ(capture({c6, c2}, fresh, nullptr, s2), 10201);
-  EXPECT_EQ(digest(s2), 0xc53eb4fb04b79a84ull);
+    DiscreteVerifier::Options budget1 = fresh;
+    budget1.max_disturbances_per_app = 1;
+    ExplorationState bounded;
+    EXPECT_EQ(capture({c1, c5, c4, c3}, budget1, nullptr, bounded), 1620563);
+    EXPECT_EQ(digest(bounded), 0xc124870497e1128bull);
+
+    ExplorationState s2;
+    EXPECT_EQ(capture({c6, c2}, fresh, nullptr, s2), 10201);
+    EXPECT_EQ(digest(s2), 0xc53eb4fb04b79a84ull);
+  }
 }
 
 TEST(CaseStudyPartitions, SerialViolationsArePinned) {
@@ -341,25 +348,34 @@ TEST(CaseStudyPartitions, SerialViolationsArePinned) {
     std::size_t witness_ticks;
   } cases[] = {{{c1, c5, c4, c6}, 47276, 0, 14, 1, 13},
                {{c1, c5, c4, c2}, 57186, 2, 441, 1, 14}};
-  for (const auto& c : cases) {
-    const DiscreteVerifier verifier(c.apps);
-    const SlotVerdict bfs = verifier.verify();
-    EXPECT_FALSE(bfs.safe);
-    EXPECT_EQ(bfs.states_explored, c.bfs_states);
-    EXPECT_EQ(bfs.violator, c.bfs_violator);
+  // Every row holds at any thread budget: the verifier ignores
+  // proof_threads.
+  for (const int threads : {1, 2, 4}) {
+    for (const auto& c : cases) {
+      SCOPED_TRACE("proof_threads " + std::to_string(threads) + ", " +
+                   std::to_string(c.apps.size()) + "-app slot ending " +
+                   c.apps.back().name);
+      const DiscreteVerifier verifier(c.apps);
+      DiscreteVerifier::Options breadth;
+      breadth.proof_threads = threads;
+      const SlotVerdict bfs = verifier.verify(breadth);
+      EXPECT_FALSE(bfs.safe);
+      EXPECT_EQ(bfs.states_explored, c.bfs_states);
+      EXPECT_EQ(bfs.violator, c.bfs_violator);
 
-    DiscreteVerifier::Options dive;
-    dive.depth_first = true;
-    const SlotVerdict dfs = verifier.verify(dive);
-    EXPECT_FALSE(dfs.safe);
-    EXPECT_EQ(dfs.states_explored, c.dfs_states);
-    EXPECT_EQ(dfs.violator, c.dfs_violator);
+      DiscreteVerifier::Options dive = breadth;
+      dive.depth_first = true;
+      const SlotVerdict dfs = verifier.verify(dive);
+      EXPECT_FALSE(dfs.safe);
+      EXPECT_EQ(dfs.states_explored, c.dfs_states);
+      EXPECT_EQ(dfs.violator, c.dfs_violator);
 
-    DiscreteVerifier::Options witness;
-    witness.want_witness = true;
-    const SlotVerdict shortest = verifier.verify(witness);
-    EXPECT_FALSE(shortest.safe);
-    EXPECT_EQ(shortest.witness_ticks.size(), c.witness_ticks);
+      DiscreteVerifier::Options witness = breadth;
+      witness.want_witness = true;
+      const SlotVerdict shortest = verifier.verify(witness);
+      EXPECT_FALSE(shortest.safe);
+      EXPECT_EQ(shortest.witness_ticks.size(), c.witness_ticks);
+    }
   }
 }
 
