@@ -2,9 +2,9 @@
 // (dedicated slot) and JE (dynamic segment only), the maximum wait T*w and
 // the dwell-time arrays T-dw / T+dw, side by side with the values printed
 // in the paper. Then benchmarks the three layers of the per-application
-// analysis for each application: the CQLF search, the switching-stability
-// check (CQLF search plus the Fig. 3 degradation grid) and the dwell-table
-// search.
+// analysis for each application: the CQLF decision, the switching-stability
+// check (CQLF decision plus the Fig. 3 degradation grid) and the dwell-table
+// search. The first two export the CQLF's `found` (0/1) as a counter.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -101,10 +101,14 @@ void BM_CqlfSearch(benchmark::State& state) {
   const casestudy::App& app = apps[static_cast<size_t>(state.range(0))];
   const control::SwitchedModes modes =
       control::switched_modes(app.plant, app.kt, app.ke);
+  bool found = false;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        linalg::find_common_lyapunov(modes.a_tt, modes.a_et));
+    const linalg::CommonLyapunov cqlf =
+        linalg::find_common_lyapunov(modes.a_tt, modes.a_et);
+    benchmark::DoNotOptimize(cqlf);
+    found = cqlf.found;
   }
+  state.counters["found"] = found ? 1.0 : 0.0;
   state.SetLabel(app.name);
 }
 BENCHMARK(BM_CqlfSearch)->DenseRange(0, 5)->Unit(benchmark::kMillisecond);
@@ -112,10 +116,14 @@ BENCHMARK(BM_CqlfSearch)->DenseRange(0, 5)->Unit(benchmark::kMillisecond);
 void BM_SwitchingStability(benchmark::State& state) {
   const auto apps = casestudy::all_apps();
   const casestudy::App& app = apps[static_cast<size_t>(state.range(0))];
+  bool found = false;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        control::check_switching_stability(app.plant, app.kt, app.ke));
+    const control::SwitchingStability s =
+        control::check_switching_stability(app.plant, app.kt, app.ke);
+    benchmark::DoNotOptimize(s);
+    found = s.common_lyapunov;
   }
+  state.counters["found"] = found ? 1.0 : 0.0;
   state.SetLabel(app.name);
 }
 BENCHMARK(BM_SwitchingStability)

@@ -61,8 +61,8 @@ GATED = [
     "BM_RedimensionWarmChurn",
     "BM_RedimensionColdPerEvent",
     # The per-application analysis layers (bench_table1) on C2, the
-    # slowest Table-1 pair: the CQLF search, the switching-stability
-    # check (CQLF search plus the degradation grid) and the dwell-table
+    # slowest Table-1 pair: the CQLF decision, the switching-stability
+    # check (CQLF decision plus the degradation grid) and the dwell-table
     # search.
     "BM_CqlfSearch/1",
     "BM_SwitchingStability/1",

@@ -1,5 +1,7 @@
 #include "control/lti.h"
 
+#include <stdexcept>
+
 #include "linalg/solve.h"
 #include "support/check.h"
 
@@ -10,8 +12,10 @@ DiscreteLti::DiscreteLti(Matrix phi, Matrix gamma, Matrix c, double h)
   TTDIM_EXPECTS(phi_.is_square());
   TTDIM_EXPECTS(gamma_.rows() == phi_.rows());
   TTDIM_EXPECTS(c_.cols() == phi_.rows());
-  TTDIM_EXPECTS(h_ > 0.0);
-  TTDIM_EXPECTS(phi_.all_finite() && gamma_.all_finite() && c_.all_finite());
+  if (!(h_ > 0.0))
+    throw std::invalid_argument("DiscreteLti: sampling period must be > 0");
+  if (!phi_.all_finite() || !gamma_.all_finite() || !c_.all_finite())
+    throw std::invalid_argument("DiscreteLti: non-finite plant entry");
 }
 
 DiscreteLti DiscreteLti::augmented_delay_model() const {

@@ -16,6 +16,8 @@ using linalg::Matrix;
 /// several outputs.
 class DiscreteLti {
  public:
+  /// Mismatched shapes violate a precondition (std::logic_error); a
+  /// non-finite entry or h <= 0 throws std::invalid_argument.
   DiscreteLti(Matrix phi, Matrix gamma, Matrix c, double h);
 
   [[nodiscard]] const Matrix& phi() const noexcept { return phi_; }
@@ -50,8 +52,8 @@ void append_canonical(std::string& out, const DiscreteLti& plant);
 
 /// Round-trip binary codec for disk-cached solutions. DiscreteLti has a
 /// validating constructor and no default state, so the decoder returns
-/// nullopt on malformed input (checking the constructor's preconditions
-/// up front — untrusted bytes must never reach a throwing TTDIM_EXPECTS).
+/// nullopt on malformed input (making the constructor's checks up front —
+/// untrusted bytes must never make it throw).
 void encode(support::codec::Encoder& enc, const DiscreteLti& plant);
 [[nodiscard]] std::optional<DiscreteLti> decode_lti(
     support::codec::Decoder& dec);

@@ -62,6 +62,16 @@ std::uint64_t get_u64(const char* p) {
 
 bool is_entry_file(const fs::path& p) { return p.extension() == ".entry"; }
 
+/// True when the file at `path` starts with the magic and the current
+/// kFormatVersion.
+bool has_current_header(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  char head[8];
+  if (!in.read(head, sizeof(head))) return false;
+  return std::string_view(head, 4) == std::string_view(kMagic, 4) &&
+         get_u32(head + 4) == DiskCache::kFormatVersion;
+}
+
 bool is_tmp_file(const fs::path& p) {
   return p.filename().string().rfind("tmp_", 0) == 0;
 }
@@ -162,8 +172,11 @@ std::optional<std::string> DiskCache::get(std::string_view space,
 void DiskCache::put(std::string_view space, std::string_view key,
                     std::string_view value) {
   const std::string path = entry_path(space, key);
-  std::error_code ec;
-  if (fs::exists(path, ec)) return;  // content-addressed: already stored
+  // Content-addressed: a current entry already holds an interchangeable
+  // value. An entry of another format version is replaced, or a directory
+  // written before a kFormatVersion bump would miss on its keys until
+  // trimmed.
+  if (has_current_header(path)) return;
 
   std::string blob;
   blob.reserve(kHeaderBytes + key.size() + value.size() + kChecksumBytes);
@@ -177,6 +190,7 @@ void DiskCache::put(std::string_view space, std::string_view key,
                                        key.size() + value.size())));
   if (blob.size() > byte_budget_) return;  // can never fit
 
+  std::error_code ec;
   fs::create_directories(fs::path(path).parent_path(), ec);
   // Unique temp name in the destination directory so the final rename
   // cannot cross filesystems and concurrent writers never collide.

@@ -37,7 +37,8 @@
 // budget rescans the directory and deletes oldest-mtime entries until
 // the budget holds (get() refreshes mtime on hit, making this LRU).
 // Bumping kFormatVersion orphans every old entry at once — they read as
-// version mismatches (misses) and age out via the trim.
+// version mismatches (misses) until a put() of the same key replaces them,
+// or they age out via the trim.
 #pragma once
 
 #include <atomic>
@@ -66,11 +67,14 @@ struct DiskCacheStats {
 
 class DiskCache {
  public:
-  /// Bump when the entry layout or any cached value's codec changes;
-  /// CI's actions/cache key embeds this so incompatible caches are never
-  /// restored (.github/workflows/ci.yml keeps "v<kFormatVersion>" in its
-  /// key — update both together).
-  static constexpr std::uint32_t kFormatVersion = 1;
+  /// Bump when the entry layout or any cached value's codec changes, or
+  /// when a cached value changes under an unchanged key: version 2 came
+  /// with the exact CQLF decision, which moved the `cqlf` flags and
+  /// certificates of stored analysis results. CI's actions/cache key
+  /// embeds this so incompatible caches are never restored
+  /// (.github/workflows/ci.yml keeps "v<kFormatVersion>" in its key —
+  /// update both together).
+  static constexpr std::uint32_t kFormatVersion = 2;
   /// Entries are kilobytes; 256 MiB holds far more history than any CI
   /// run or daemon accumulates between trims.
   static constexpr std::size_t kDefaultByteBudget = 256u << 20;
@@ -94,9 +98,10 @@ class DiskCache {
   [[nodiscard]] std::optional<std::string> get(std::string_view space,
                                                std::string_view key);
 
-  /// Stores value under (space, key). No-op when the entry already
-  /// exists (content addressing: values for one key are interchangeable)
-  /// or the single entry exceeds the whole budget. May trigger a trim.
+  /// Stores value under (space, key). No-op when a current-version entry
+  /// already exists (content addressing: values for one key are
+  /// interchangeable) or the single entry exceeds the whole budget; an
+  /// entry of another format version is replaced. May trigger a trim.
   void put(std::string_view space, std::string_view key,
            std::string_view value);
 

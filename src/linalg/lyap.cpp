@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "linalg/eig.h"
@@ -29,16 +31,19 @@ Matrix dlyap(const Matrix& a, const Matrix& q) {
   return p;
 }
 
-bool is_positive_definite(const Matrix& p, double tol) {
-  TTDIM_EXPECTS(p.is_square());
-  if (!p.is_symmetric(1e-8 * std::max(1.0, p.max_abs()))) return false;
-  // In-place Cholesky; failure of any pivot means not PD.
-  const Index n = p.rows();
-  Matrix l = p;
+namespace {
+
+/// Lower Cholesky factor of the symmetric matrix `a`, written to the lower
+/// triangle of `l` (the upper triangle keeps `a`'s entries). False as soon
+/// as a pivot is not above `floor`, NaN included: `a` is then not positive
+/// definite by that margin.
+bool cholesky(const Matrix& a, double floor, Matrix& l) {
+  const Index n = a.rows();
+  l = a;
   for (Index k = 0; k < n; ++k) {
     double d = l(k, k);
     for (Index j = 0; j < k; ++j) d -= l(k, j) * l(k, j);
-    if (d <= tol * std::max(1.0, p.max_abs())) return false;
+    if (!(d > floor)) return false;
     const double s = std::sqrt(d);
     l(k, k) = s;
     for (Index i = k + 1; i < n; ++i) {
@@ -50,366 +55,298 @@ bool is_positive_definite(const Matrix& p, double tol) {
   return true;
 }
 
+}  // namespace
+
+bool is_positive_definite(const Matrix& p, double tol) {
+  TTDIM_EXPECTS(p.is_square());
+  const double scale = std::max(1.0, p.max_abs());
+  if (!p.is_symmetric(1e-8 * scale)) return false;
+  Matrix l;
+  return cholesky(p, tol * scale, l);
+}
+
 bool certifies_decrease(const Matrix& a, const Matrix& p, double tol) {
   Matrix dec = p - a.transpose() * p * a;  // must be positive definite
   dec.symmetrize();
   return is_positive_definite(dec, tol);
 }
 
+bool refutes_common_lyapunov(const Matrix& a1, const Matrix& a2,
+                             const Matrix& z1, const Matrix& z2,
+                             double margin) {
+  TTDIM_EXPECTS(a1.is_square() && a2.is_square() && a1.rows() == a2.rows());
+  TTDIM_EXPECTS(z1.rows() == a1.rows() && z2.rows() == a1.rows());
+  const double trace = z1.trace() + z2.trace();
+  if (!(trace > 0.0)) return false;
+  const Matrix y1 = z1 / trace;
+  const Matrix y2 = z2 / trace;
+  if (!is_positive_definite(y1, 0.0) || !is_positive_definite(y2, 0.0))
+    return false;
+  Matrix w = a1 * y1 * a1.transpose() - y1 + a2 * y2 * a2.transpose() - y2;
+  w.symmetrize();
+  const double shift = margin * std::max(1.0, w.max_abs());
+  for (Index k = 0; k < w.rows(); ++k) w(k, k) -= shift;
+  Matrix l;
+  return cholesky(w, 0.0, l);
+}
+
 namespace {
 
-/// Largest system whose subgradient phase is instantiated for its exact
-/// size, with stack scratch. The paper's augmented closed loops are 2x2
-/// to 4x4.
-constexpr Index kFixedMaxN = 6;
+// find_common_lyapunov decides the LMI
+//   maximise t  subject to  P >= 0,  P - Ai' P Ai >= t I (i = 1, 2),
+//                           tr P = 1
+// with a log-det barrier method (Boyd & Vandenberghe, Convex Optimization,
+// 2004, Sec. 11.6). A centring round minimises
+//   f_s(P, t) = -s t - log det P - sum_i log det(P - Ai' P Ai - t I)
+// by damped Newton steps; then s grows by kGrowth. The trace constraint is
+// eliminated, P = I/n + sum_k x_k B_k over the trace-free symmetric basis
+// {E_ij + E_ji (i < j), E_kk - E_mm (k < m = n - 1)}, so the Newton system
+// is the Hessian in the n(n+1)/2 unknowns (x, t): positive definite, and
+// factored by Cholesky. At a centred point S_i = (P - Ai' P Ai - t I)^-1
+// scaled to tr S_1 + tr S_2 = 1 is the dual point (Sec. 5.9 there) that
+// refutes_common_lyapunov checks.
 
-/// Scratch storage the subgradient phase below is written against, one
-/// instantiation per shape (the PackedShape/HeapShape idiom of
-/// verify/discrete.cpp): FixedScratch<N> keeps N x N arrays on the stack
-/// and makes the size a compile-time constant, so every loop has a fixed
-/// trip count; HeapScratch holds any n > kFixedMaxN. Both index as m[r][c]
-/// and v[i], so every n runs the same arithmetic.
-template <Index N>
-struct FixedScratch {
-  using Vec = std::array<double, N>;
-  using Mat = std::array<Vec, N>;
-  static constexpr Index dim(Index /*n*/) { return N; }
-  static Vec vec(Index /*n*/) { return {}; }
-  static Mat mat(Index /*n*/) { return {}; }
+constexpr double kGrowth = 10.0;      ///< factor on s per centring round
+constexpr int kMaxRounds = 14;        ///< s runs 1, 10, ..., 1e13
+constexpr int kMaxNewtonSteps = 100;  ///< over all rounds
+constexpr int kMaxHalvings = 60;      ///< step halvings per line search
+constexpr double kCentred = 1e-8;     ///< half squared Newton decrement
+
+/// (L L')^-1 for a lower Cholesky factor `l`.
+Matrix inverse_from_cholesky(const Matrix& l) {
+  const Index n = l.rows();
+  Matrix li(n, n);  // L^-1, lower triangular
+  for (Index c = 0; c < n; ++c) {
+    li(c, c) = 1.0 / l(c, c);
+    for (Index r = c + 1; r < n; ++r) {
+      double v = 0.0;
+      for (Index k = c; k < r; ++k) v -= l(r, k) * li(k, c);
+      li(r, c) = v / l(r, r);
+    }
+  }
+  Matrix s(n, n);  // L^-T L^-1
+  for (Index r = 0; r < n; ++r)
+    for (Index c = 0; c <= r; ++c) {
+      double v = 0.0;
+      for (Index k = r; k < n; ++k) v += li(k, r) * li(k, c);
+      s(r, c) = v;
+      s(c, r) = v;
+    }
+  return s;
+}
+
+/// Solves (L L') x = b in place for a lower Cholesky factor `l`.
+void solve_cholesky(const Matrix& l, std::vector<double>& b) {
+  const Index n = l.rows();
+  for (Index i = 0; i < n; ++i) {
+    for (Index k = 0; k < i; ++k) b[i] -= l(i, k) * b[k];
+    b[i] /= l(i, i);
+  }
+  for (Index i = n - 1; i >= 0; --i) {
+    for (Index k = i + 1; k < n; ++k) b[i] -= l(k, i) * b[k];
+    b[i] /= l(i, i);
+  }
+}
+
+/// Frobenius inner product of two equally shaped matrices.
+double inner(const Matrix& x, const Matrix& y) {
+  double v = 0.0;
+  for (std::size_t i = 0; i < x.data().size(); ++i)
+    v += x.data()[i] * y.data()[i];
+  return v;
+}
+
+/// One iterate (P, t) with the Cholesky factors of its three constraint
+/// matrices.
+struct Iterate {
+  Matrix p;
+  double t = 0.0;
+  std::array<Matrix, 3> chol;
+  double log_det = 0.0;  ///< sum of the three log-determinants
 };
 
-struct HeapScratch {
-  using Vec = std::vector<double>;
-  using Mat = std::vector<Vec>;
-  static Index dim(Index n) { return n; }
-  static Vec vec(Index n) { return Vec(static_cast<size_t>(n)); }
-  static Mat mat(Index n) { return Mat(static_cast<size_t>(n), vec(n)); }
+/// Derivatives of the barrier -sum log det at an iterate, over the
+/// unknowns (x, t); the -s t term adds -s to the last gradient entry.
+struct Derivatives {
+  std::array<Matrix, 3> inverse;  ///< the constraint matrices' inverses
+  std::vector<double> gradient;
+  Matrix hessian;  ///< lower Cholesky factor
 };
 
-/// One Jacobi rotation of the (p, q) plane.
-struct Rotation {
-  Index p;
-  Index q;
-  double c;
-  double s;
+/// The LMI of one mode pair in the barrier method's coordinates.
+class Lmi {
+ public:
+  Lmi(const Matrix& a1, const Matrix& a2)
+      : a_{a1, a2}, at_{a1.transpose(), a2.transpose()}, n_(a1.rows()) {
+    for (Index i = 0; i < n_; ++i)
+      for (Index j = i + 1; j < n_; ++j) {
+        Matrix b(n_, n_);
+        b(i, j) = 1.0;
+        b(j, i) = 1.0;
+        basis_.push_back(std::move(b));
+      }
+    for (Index k = 0; k + 1 < n_; ++k) {
+      Matrix b(n_, n_);
+      b(k, k) = 1.0;
+      b(n_ - 1, n_ - 1) = -1.0;
+      basis_.push_back(std::move(b));
+    }
+    for (const Matrix& b : basis_) images_.push_back(constraints(b, 0.0));
+    images_.push_back(constraints(Matrix(n_, n_), 1.0));
+  }
+
+  /// P, P - a1' P a1 - t I and P - a2' P a2 - t I; linear in (p, t).
+  [[nodiscard]] std::array<Matrix, 3> constraints(const Matrix& p,
+                                                  double t) const {
+    std::array<Matrix, 3> f{p, p - at_[0] * p * a_[0], p - at_[1] * p * a_[1]};
+    for (int i = 1; i < 3; ++i) {
+      for (Index k = 0; k < n_; ++k) f[i](k, k) -= t;
+      f[i].symmetrize();
+    }
+    return f;
+  }
+
+  /// The start, P = I/n with t below both decrements' Gershgorin bounds,
+  /// into `x`; false only when the decrements overflow.
+  bool start(Iterate& x) const {
+    const Matrix p = Matrix::identity(n_) / static_cast<double>(n_);
+    const std::array<Matrix, 3> f = constraints(p, 0.0);
+    double t = 0.0;
+    for (int i = 1; i < 3; ++i)
+      for (Index r = 0; r < n_; ++r) {
+        double bound = f[i](r, r);
+        for (Index c = 0; c < n_; ++c)
+          if (c != r) bound -= std::abs(f[i](r, c));
+        t = std::min(t, bound);
+      }
+    return evaluate(p, t - (1.0 - t), x);
+  }
+
+  /// Factors the constraints at (p, t) into `out`; false when (p, t) is
+  /// not strictly feasible.
+  bool evaluate(Matrix p, double t, Iterate& out) const {
+    const std::array<Matrix, 3> f = constraints(p, t);
+    out.log_det = 0.0;
+    for (int i = 0; i < 3; ++i) {
+      if (!cholesky(f[i], 0.0, out.chol[i])) return false;
+      for (Index k = 0; k < n_; ++k)
+        out.log_det += 2.0 * std::log(out.chol[i](k, k));
+    }
+    out.p = std::move(p);
+    out.t = t;
+    return true;
+  }
+
+  /// False when the Hessian is not positive definite to working precision.
+  bool derivatives(const Iterate& x, Derivatives& out) const {
+    const std::size_t d = images_.size();
+    for (int i = 0; i < 3; ++i)
+      out.inverse[i] = inverse_from_cholesky(x.chol[i]);
+    out.gradient.assign(d, 0.0);
+    std::vector<std::array<Matrix, 3>> weighted(d);  // S U S per image
+    Matrix h(static_cast<Index>(d), static_cast<Index>(d));
+    for (std::size_t k = 0; k < d; ++k) {
+      for (int i = 0; i < 3; ++i) {
+        const Matrix& s = out.inverse[i];
+        out.gradient[k] -= inner(s, images_[k][i]);
+        weighted[k][i] = s * images_[k][i] * s;
+      }
+      for (std::size_t l = 0; l <= k; ++l) {
+        double v = 0.0;
+        for (int i = 0; i < 3; ++i) v += inner(weighted[k][i], images_[l][i]);
+        h(static_cast<Index>(k), static_cast<Index>(l)) = v;
+        h(static_cast<Index>(l), static_cast<Index>(k)) = v;
+      }
+    }
+    return cholesky(h, 0.0, out.hessian);
+  }
+
+  /// The P part of a step in the unknowns (the last entry is t's).
+  [[nodiscard]] Matrix p_step(const std::vector<double>& dx) const {
+    Matrix dp(n_, n_);
+    for (std::size_t k = 0; k < basis_.size(); ++k) dp += basis_[k] * dx[k];
+    return dp;
+  }
+
+  /// `p` scaled to max |entry| = 1, when that passes the acceptance test.
+  [[nodiscard]] std::optional<Matrix> certificate(const Matrix& p) const {
+    Matrix scaled = p / p.max_abs();
+    if (!is_positive_definite(scaled) || !certifies_decrease(a_[0], scaled) ||
+        !certifies_decrease(a_[1], scaled))
+      return std::nullopt;
+    return scaled;
+  }
+
+ private:
+  std::array<Matrix, 2> a_;
+  std::array<Matrix, 2> at_;
+  Index n_;
+  std::vector<Matrix> basis_;
+  std::vector<std::array<Matrix, 3>> images_;  ///< constraints() of each
+                                               ///< unknown's unit step
 };
-
-/// The subgradient phase's three constraint matrices P, P - a1'P a1 and
-/// P - a2'P a2, one per lane.
-constexpr int kLanes = 3;
-
-/// Cyclic Jacobi diagonalization of the three symmetric n x n blocks
-/// `m[0..2]` in one interleaved pass, in place. Every lane performs
-/// exactly the operations of the one-matrix cyclic Jacobi method — the
-/// per-sweep convergence test on the off-diagonal mass against the largest
-/// entry, the 1e-18 skip, the rotation formula, row and column updates in
-/// the same order — so its diagonal (the eigenvalues) comes out bit for
-/// bit as if it ran alone. Lanes never read each other; interleaving them
-/// lets the CPU overlap three latency-bound chains of divisions and
-/// square roots. Eigenvectors are not accumulated here: each lane logs
-/// its rotations to `log[l]`, and replay_rotations() rebuilds the vectors
-/// of the one lane whose eigenvector the caller needs.
-template <typename S>
-void jacobi3(std::array<typename S::Mat, kLanes>& m, Index n_rt,
-             std::array<std::vector<Rotation>, kLanes>& log) {
-  const Index n = S::dim(n_rt);
-  bool active[kLanes] = {true, true, true};
-  for (std::vector<Rotation>& l : log) l.clear();
-  for (int sweep = 0; sweep < 128; ++sweep) {
-    bool any = false;
-    for (int l = 0; l < kLanes; ++l) {
-      if (!active[l]) continue;
-      const typename S::Mat& a = m[l];
-      double off = 0.0;
-      for (Index i = 0; i < n; ++i)
-        for (Index j = i + 1; j < n; ++j) off += a[i][j] * a[i][j];
-      double ma = 0.0;
-      for (Index r = 0; r < n; ++r)
-        for (Index c = 0; c < n; ++c) ma = std::max(ma, std::abs(a[r][c]));
-      active[l] = !(off < 1e-24 * std::max(1.0, ma * ma));
-      any = any || active[l];
-    }
-    if (!any) break;
-    for (Index p = 0; p < n; ++p) {
-      for (Index q = p + 1; q < n; ++q) {
-        bool rotate[kLanes] = {};
-        double cs[kLanes] = {};
-        double sn[kLanes] = {};
-        for (int l = 0; l < kLanes; ++l) {
-          const typename S::Mat& a = m[l];
-          rotate[l] = active[l] && !(std::abs(a[p][q]) < 1e-18);
-          if (!rotate[l]) continue;
-          const double theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q]);
-          const double t = (theta >= 0.0 ? 1.0 : -1.0) /
-                           (std::abs(theta) + std::sqrt(theta * theta + 1.0));
-          cs[l] = 1.0 / std::sqrt(t * t + 1.0);
-          sn[l] = t * cs[l];
-        }
-        for (int l = 0; l < kLanes; ++l) {
-          if (!rotate[l]) continue;
-          typename S::Mat& a = m[l];
-          const double c = cs[l];
-          const double s = sn[l];
-          for (Index k = 0; k < n; ++k) {
-            const double akp = a[k][p];
-            const double akq = a[k][q];
-            a[k][p] = c * akp - s * akq;
-            a[k][q] = s * akp + c * akq;
-          }
-          for (Index k = 0; k < n; ++k) {
-            const double apk = a[p][k];
-            const double aqk = a[q][k];
-            a[p][k] = c * apk - s * aqk;
-            a[q][k] = s * apk + c * aqk;
-          }
-          log[l].push_back({p, q, c, s});
-        }
-      }
-    }
-  }
-}
-
-/// The orthonormal eigenvectors of one jacobi3 lane, as columns of
-/// `vectors`: the logged rotations applied to the identity in order,
-/// exactly as the one-matrix method accumulates them.
-template <typename S>
-void replay_rotations(const std::vector<Rotation>& log, Index n_rt,
-                      typename S::Mat& vectors) {
-  const Index n = S::dim(n_rt);
-  for (Index r = 0; r < n; ++r)
-    for (Index c = 0; c < n; ++c) vectors[r][c] = (r == c) ? 1.0 : 0.0;
-  for (const Rotation& rot : log) {
-    for (Index k = 0; k < n; ++k) {
-      const double vkp = vectors[k][rot.p];
-      const double vkq = vectors[k][rot.q];
-      vectors[k][rot.p] = rot.c * vkp - rot.s * vkq;
-      vectors[k][rot.q] = rot.s * vkp + rot.c * vkq;
-    }
-  }
-}
-
-/// Subgradient feasibility phase of find_common_lyapunov. Minimises the
-/// worst constraint violation
-///   f(P) = max_i  eps - lambda_min(F_i(P)),
-///   F_0 = P,  F_1 = P - a1' P a1,  F_2 = P - a2' P a2,
-/// moving P along the eigenvector subgradient of the active constraint.
-/// This finds certificates that sit close to the boundary of the CQLF
-/// cone (the paper's KsE/KT pair is such a case). Deterministic; returns
-/// the best iterate found within a fixed iteration budget.
-///
-/// Each iteration diagonalizes the three F_i in one jacobi3 pass and
-/// builds eigenvectors only for the winning constraint, the first whose
-/// violation is strictly larger than every earlier one; when none wins
-/// (NaN violations) the previous gradient stays. The operation order
-/// (left-associated products that skip exact-zero factors, as Matrix
-/// operator* does) fixes the certificate bits, which linalg_test pins for
-/// every fixed size it reaches and for heap storage.
-template <typename S>
-Matrix subgradient_phase(const Matrix& a1m, const Matrix& a2m,
-                         const Matrix& p0, double eps) {
-  const Index n = S::dim(a1m.rows());
-  typename S::Mat a1 = S::mat(n), a2 = S::mat(n), p = S::mat(n),
-                  best = S::mat(n), grad = S::mat(n), t1 = S::mat(n),
-                  vectors = S::mat(n);
-  std::array<typename S::Mat, kLanes> f = {S::mat(n), S::mat(n), S::mat(n)};
-  std::array<std::vector<Rotation>, kLanes> log;
-  typename S::Vec v = S::vec(n), av = S::vec(n);
-  for (Index r = 0; r < n; ++r)
-    for (Index c = 0; c < n; ++c) {
-      a1[r][c] = a1m(r, c);
-      a2[r][c] = a2m(r, c);
-      p[r][c] = p0(r, c);
-      best[r][c] = p0(r, c);
-    }
-  double best_violation = 1e18;
-  for (int it = 0; it < 40000; ++it) {
-    for (int m = 0; m < kLanes; ++m) {
-      // f[m] = p (m == 0) or p - a' p a, symmetrized.
-      typename S::Mat& fm = f[m];
-      if (m == 0) {
-        for (Index r = 0; r < n; ++r)
-          for (Index c = 0; c < n; ++c) fm[r][c] = p[r][c];
-      } else {
-        const auto& a = (m == 1) ? a1 : a2;
-        for (Index r = 0; r < n; ++r) {  // t1 = a' * p
-          for (Index c = 0; c < n; ++c) t1[r][c] = 0.0;
-          for (Index k = 0; k < n; ++k) {
-            const double x = a[k][r];  // a'(r, k)
-            if (x == 0.0) continue;
-            for (Index c = 0; c < n; ++c) t1[r][c] += x * p[k][c];
-          }
-        }
-        for (Index r = 0; r < n; ++r) {
-          for (Index c = 0; c < n; ++c) fm[r][c] = 0.0;
-          for (Index k = 0; k < n; ++k) {
-            const double x = t1[r][k];
-            if (x == 0.0) continue;
-            for (Index c = 0; c < n; ++c) fm[r][c] += x * a[k][c];
-          }
-          for (Index c = 0; c < n; ++c) fm[r][c] = p[r][c] - fm[r][c];
-        }
-      }
-      for (Index r = 0; r < n; ++r)
-        for (Index c = r + 1; c < n; ++c) {
-          const double avg = 0.5 * (fm[r][c] + fm[c][r]);
-          fm[r][c] = avg;
-          fm[c][r] = avg;
-        }
-    }
-    jacobi3<S>(f, n, log);
-
-    double worst = -1e18;
-    int winner = -1;
-    Index winner_mi = 0;
-    for (int m = 0; m < kLanes; ++m) {
-      Index mi = 0;
-      for (Index i = 1; i < n; ++i)
-        if (f[m][i][i] < f[m][mi][mi]) mi = i;
-      const double violation = eps - f[m][mi][mi];
-      if (violation > worst) {
-        worst = violation;
-        winner = m;
-        winner_mi = mi;
-      }
-    }
-    if (winner >= 0) {
-      replay_rotations<S>(log[winner], n, vectors);
-      for (Index k = 0; k < n; ++k) v[k] = vectors[k][winner_mi];
-      // grad = v v' (- (a v)(a v)' for a winning decrease constraint);
-      // rows whose factor is exactly zero stay zero, as in operator*.
-      for (Index r = 0; r < n; ++r)
-        for (Index c = 0; c < n; ++c)
-          grad[r][c] = (v[r] == 0.0) ? 0.0 : 0.0 + v[r] * v[c];
-      if (winner > 0) {
-        const auto& a = (winner == 1) ? a1 : a2;
-        for (Index r = 0; r < n; ++r) {
-          av[r] = 0.0;
-          for (Index k = 0; k < n; ++k) {
-            const double x = a[r][k];
-            if (x == 0.0) continue;
-            av[r] += x * v[k];
-          }
-        }
-        for (Index r = 0; r < n; ++r)
-          for (Index c = 0; c < n; ++c)
-            grad[r][c] -= (av[r] == 0.0) ? 0.0 : 0.0 + av[r] * av[c];
-      }
-    }
-    if (worst < best_violation) {
-      best_violation = worst;
-      for (Index r = 0; r < n; ++r)
-        for (Index c = 0; c < n; ++c) best[r][c] = p[r][c];
-    }
-    if (worst <= 0.0) break;
-    double sq = 0.0;
-    for (Index r = 0; r < n; ++r)
-      for (Index c = 0; c < n; ++c) sq += grad[r][c] * grad[r][c];
-    const double nrm = std::sqrt(sq);
-    const double g2 = nrm * nrm;
-    const double step = 0.5 * worst / std::max(1.0, g2);
-    for (Index r = 0; r < n; ++r)
-      for (Index c = 0; c < n; ++c) p[r][c] += grad[r][c] * step;
-    for (Index r = 0; r < n; ++r)
-      for (Index c = r + 1; c < n; ++c) {
-        const double avg = 0.5 * (p[r][c] + p[c][r]);
-        p[r][c] = avg;
-        p[c][r] = avg;
-      }
-    double scale = 0.0;
-    for (Index r = 0; r < n; ++r)
-      for (Index c = 0; c < n; ++c) scale = std::max(scale, std::abs(p[r][c]));
-    if (scale > 0.0)
-      for (Index r = 0; r < n; ++r)
-        for (Index c = 0; c < n; ++c) p[r][c] /= scale;
-  }
-  Matrix out(n, n);
-  for (Index r = 0; r < n; ++r)
-    for (Index c = 0; c < n; ++c) out(r, c) = best[r][c];
-  return out;
-}
-
-/// subgradient_phase on the scratch shape of a1's size.
-Matrix run_subgradient_phase(const Matrix& a1, const Matrix& a2,
-                             const Matrix& p0, double eps) {
-  static_assert(kFixedMaxN == 6, "one case per fixed size");
-  switch (a1.rows()) {
-    case 1:
-      return subgradient_phase<FixedScratch<1>>(a1, a2, p0, eps);
-    case 2:
-      return subgradient_phase<FixedScratch<2>>(a1, a2, p0, eps);
-    case 3:
-      return subgradient_phase<FixedScratch<3>>(a1, a2, p0, eps);
-    case 4:
-      return subgradient_phase<FixedScratch<4>>(a1, a2, p0, eps);
-    case 5:
-      return subgradient_phase<FixedScratch<5>>(a1, a2, p0, eps);
-    case 6:
-      return subgradient_phase<FixedScratch<6>>(a1, a2, p0, eps);
-    default:
-      return subgradient_phase<HeapScratch>(a1, a2, p0, eps);
-  }
-}
 
 }  // namespace
 
 CommonLyapunov find_common_lyapunov(const Matrix& a1, const Matrix& a2) {
   TTDIM_EXPECTS(a1.is_square() && a2.is_square() && a1.rows() == a2.rows());
-  const Index n = a1.rows();
   // A CQLF requires each mode to be Schur stable on its own.
   if (!is_schur_stable(a1) || !is_schur_stable(a2)) return {};
 
-  const Matrix q = Matrix::identity(n);
-  std::vector<Matrix> candidates;
-  const Matrix p1 = dlyap(a1, q);
-  const Matrix p2 = dlyap(a2, q);
-  candidates.push_back(p1);
-  candidates.push_back(p2);
-  for (double w : {0.5, 0.25, 0.75, 0.1, 0.9})
-    candidates.push_back(p1 * w + p2 * (1.0 - w));
-  // Blended-operator candidates: solve
-  //   t (a1' P a1 - P) + (1-t) (a2' P a2 - P) = -I
-  // for a grid of t. The solution moves continuously between the two
-  // single-mode Lyapunov solutions and frequently lands inside the CQLF
-  // cone when it is non-empty (sufficient search; no full LMI solver).
-  const Matrix at1 = a1.transpose();
-  const Matrix at2 = a2.transpose();
-  const Matrix op1 = kron(at1, at1) - Matrix::identity(n * n);
-  const Matrix op2 = kron(at2, at2) - Matrix::identity(n * n);
-  for (int i = 1; i < 20; ++i) {
-    const double t = i / 20.0;
-    try {
-      Matrix cand = unvec(solve(op1 * t + op2 * (1.0 - t), -vec(q)), n, n);
-      cand.symmetrize();
-      candidates.push_back(std::move(cand));
-    } catch (const std::domain_error&) {
-      // Singular blend: skip this grid point.
+  const Lmi lmi(a1, a2);
+  Iterate x;
+  if (!lmi.start(x)) return {};
+  if (std::optional<Matrix> p = lmi.certificate(x.p)) return {true, std::move(*p)};
+  Derivatives dv;
+  if (!lmi.derivatives(x, dv)) return {};
+  double s = 1.0;
+  for (int rounds = 0, steps = 0;
+       rounds < kMaxRounds && steps < kMaxNewtonSteps;) {
+    std::vector<double> gradient = dv.gradient;
+    gradient.back() -= s;
+    std::vector<double> dx = gradient;
+    solve_cholesky(dv.hessian, dx);
+    double decrement = 0.0;  // squared Newton decrement
+    for (std::size_t k = 0; k < dx.size(); ++k) {
+      dx[k] = -dx[k];
+      decrement -= gradient[k] * dx[k];
     }
+    if (decrement / 2.0 <= kCentred) {
+      // Centred: check the dual point, then tighten the barrier.
+      const double trace = dv.inverse[1].trace() + dv.inverse[2].trace();
+      CommonLyapunov out;
+      out.z1 = dv.inverse[1] / trace;
+      out.z2 = dv.inverse[2] / trace;
+      if (refutes_common_lyapunov(a1, a2, out.z1, out.z2)) {
+        out.refuted = true;
+        return out;
+      }
+      s *= kGrowth;
+      ++rounds;
+      continue;
+    }
+    const Matrix dp = lmi.p_step(dx);
+    const double value = -s * x.t - x.log_det;
+    double alpha = 1.0;
+    for (int halvings = 0;; ++halvings, alpha *= 0.5) {
+      if (halvings == kMaxHalvings) return {};
+      Iterate trial;
+      if (lmi.evaluate(x.p + dp * alpha, x.t + alpha * dx.back(), trial) &&
+          -s * trial.t - trial.log_det <= value - 0.25 * alpha * decrement) {
+        x = std::move(trial);
+        break;
+      }
+    }
+    ++steps;
+    if (std::optional<Matrix> p = lmi.certificate(x.p)) return {true, std::move(*p)};
+    if (!lmi.derivatives(x, dv)) return {};
   }
-  for (const Matrix& cand : candidates) {
-    if (!is_positive_definite(cand)) continue;
-    if (certifies_decrease(a1, cand) && certifies_decrease(a2, cand))
-      return {true, cand};
-  }
-
-  // No candidate certifies: refine the second mode's Lyapunov solution by
-  // subgradient descent on the constraint violation.
-  const double eps = 1e-4;
-  Matrix p = dlyap(a2, q);
-  p /= p.max_abs();
-  const Matrix best = run_subgradient_phase(a1, a2, p, eps);
-  if (is_positive_definite(best) && certifies_decrease(a1, best) &&
-      certifies_decrease(a2, best))
-    return {true, best};
   return {};
 }
 
 void append_canonical(std::string& out, const CommonLyapunov& c) {
   out += c.found ? "cqlf=1:" : "cqlf=0:";
   append_canonical_bits(out, c.p);
-}
-
-std::size_t byte_cost(const CommonLyapunov& c) {
-  return sizeof(CommonLyapunov) - sizeof(Matrix) + byte_cost(c.p);
 }
 
 void encode(support::codec::Encoder& enc, const CommonLyapunov& c) {

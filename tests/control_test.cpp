@@ -4,6 +4,7 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -15,6 +16,7 @@
 #include "control/sim.h"
 #include "gtest/gtest.h"
 #include "linalg/eig.h"
+#include "linalg/lyap.h"
 #include "support/splitmix64.h"
 #include "switching/dwell.h"
 
@@ -44,6 +46,35 @@ TEST(Lti, ShapeValidation) {
   EXPECT_THROW(DiscreteLti(Matrix::identity(2), Matrix(2, 1), Matrix(1, 2),
                            0.0),
                std::logic_error);
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(Lti, NonFinitePhiIsInvalidArgument) {
+  EXPECT_THROW(DiscreteLti(Matrix{{1.0, kNaN}, {0.0, 1.0}}, Matrix(2, 1),
+                           Matrix(1, 2), 0.01),
+               std::invalid_argument);
+}
+
+TEST(Lti, NonFiniteGammaIsInvalidArgument) {
+  EXPECT_THROW(DiscreteLti(Matrix::identity(2), Matrix{{0.0}, {kInf}},
+                           Matrix(1, 2), 0.01),
+               std::invalid_argument);
+}
+
+TEST(Lti, NonFiniteCIsInvalidArgument) {
+  EXPECT_THROW(DiscreteLti(Matrix::identity(2), Matrix(2, 1),
+                           Matrix{{-kInf, 0.0}}, 0.01),
+               std::invalid_argument);
+}
+
+TEST(Lti, NonPositivePeriodIsInvalidArgument) {
+  for (const double h : {0.0, -0.02, kNaN})
+    EXPECT_THROW(DiscreteLti(Matrix::identity(2), Matrix(2, 1), Matrix(1, 2),
+                             h),
+                 std::invalid_argument)
+        << h;
 }
 
 TEST(Lti, AugmentedDelayModelShape) {
@@ -197,6 +228,16 @@ TEST(PaperNumbers, KuEIsNotCertifiedSwitchingStableWithKT) {
   EXPECT_TRUE(s.et_stable);
   // ... but no common Lyapunov certificate exists for the pair.
   EXPECT_FALSE(s.switching_stable());
+  EXPECT_FALSE(s.common_lyapunov);
+  // A dual certificate proves that none exists, with a margin to spare.
+  const SwitchedModes m = switched_modes(plant, casestudy::c1().kt,
+                                         casestudy::ke_unstable());
+  const linalg::CommonLyapunov cqlf =
+      linalg::find_common_lyapunov(m.a_tt, m.a_et);
+  EXPECT_FALSE(cqlf.found);
+  ASSERT_TRUE(cqlf.refuted);
+  EXPECT_TRUE(linalg::refutes_common_lyapunov(m.a_tt, m.a_et, cqlf.z1,
+                                              cqlf.z2, 1e-5));
 }
 
 TEST(PaperNumbers, DegradationGridPastTheHorizonIsNotDegradationFree) {
@@ -280,6 +321,40 @@ TEST(Design, DlqrOnCaseStudyPlantsStabilizes) {
     EXPECT_TRUE(linalg::is_schur_stable(closed_loop(app.plant, k)))
         << app.name;
   }
+}
+
+TEST(Design, CustomDesignExamplePairs) {
+  // examples/custom_design.cpp: the naive LQR ME gain shares no CQLF with
+  // KT (a dual certificate refutes it), the pole-placed one does.
+  const double h = 0.01;
+  const DiscreteLti plant(Matrix{{1.0, h}, {0.0, 1.0}},
+                          Matrix{{h * h / 2.0}, {h}}, Matrix{{1.0, 0.0}}, h);
+  const DiscreteLti augmented = plant.augmented_delay_model();
+  const Matrix kt = ackermann(plant, {{0.70, 0.05}, {0.70, -0.05}});
+  const Matrix ke_lqr = dlqr(augmented, {Matrix::identity(3), Matrix{{5.0}}});
+  const Matrix ke =
+      ackermann(augmented, {{0.90, 0.0}, {0.85, 0.0}, {0.10, 0.0}});
+
+  const SwitchedModes naive = switched_modes(plant, kt, ke_lqr);
+  const linalg::CommonLyapunov none =
+      linalg::find_common_lyapunov(naive.a_tt, naive.a_et);
+  EXPECT_FALSE(none.found);
+  ASSERT_TRUE(none.refuted);
+  EXPECT_TRUE(linalg::refutes_common_lyapunov(naive.a_tt, naive.a_et,
+                                              none.z1, none.z2, 1e-6));
+  EXPECT_FALSE(check_switching_stability(plant, kt, ke_lqr).switching_stable());
+
+  const SwitchedModes good = switched_modes(plant, kt, ke);
+  const linalg::CommonLyapunov cqlf =
+      linalg::find_common_lyapunov(good.a_tt, good.a_et);
+  ASSERT_TRUE(cqlf.found);
+  EXPECT_FALSE(cqlf.refuted);
+  EXPECT_TRUE(linalg::is_positive_definite(cqlf.p));
+  EXPECT_TRUE(linalg::certifies_decrease(good.a_tt, cqlf.p));
+  EXPECT_TRUE(linalg::certifies_decrease(good.a_et, cqlf.p));
+  const SwitchingStability s = check_switching_stability(plant, kt, ke);
+  EXPECT_TRUE(s.common_lyapunov);
+  EXPECT_TRUE(s.switching_stable());
 }
 
 TEST(Design, ObservabilityOfCaseStudyPlants) {

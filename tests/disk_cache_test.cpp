@@ -375,6 +375,28 @@ TEST_F(DiskCacheTest, WrongVersionIsAMissButKept) {
   EXPECT_TRUE(fs::exists(entry));
 }
 
+TEST_F(DiskCacheTest, VersionOneEntryIsAMiss) {
+  // Version 1 analysis entries predate the exact CQLF decision and carry
+  // stale `cqlf` flags; a directory written then must not serve them.
+  static_assert(DiskCache::kFormatVersion >= 2);
+  DiskCache cache(dir_);
+  cache.put("analysis", "k", "v");
+  const fs::path entry = only_entry();
+  {
+    std::fstream f(entry, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(4);
+    const char v1[4] = {1, 0, 0, 0};
+    f.write(v1, sizeof(v1));
+  }
+  EXPECT_FALSE(cache.get("analysis", "k").has_value());
+  EXPECT_EQ(cache.stats().corrupt, 1);
+  EXPECT_EQ(cache.stats().hits, 0);
+  // The next fresh result replaces the old entry, and reads hit again.
+  cache.put("analysis", "k", "fresh");
+  EXPECT_EQ(cache.stats().writes, 2);
+  EXPECT_EQ(cache.get("analysis", "k"), std::optional<std::string>("fresh"));
+}
+
 TEST_F(DiskCacheTest, WrongMagicIsAMiss) {
   DiskCache cache(dir_);
   cache.put("analysis", "k", "v");

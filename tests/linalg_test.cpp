@@ -2,6 +2,7 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -357,6 +358,9 @@ TEST(Lyap, PositiveDefiniteChecks) {
   EXPECT_FALSE(is_positive_definite(Matrix{{1.0, 0.0}, {0.0, -1.0}}));
   EXPECT_FALSE(is_positive_definite(Matrix{{0.0, 0.0}, {0.0, 0.0}}));
   EXPECT_FALSE(is_positive_definite(Matrix{{1.0, 5.0}, {-5.0, 1.0}}));
+  // A NaN pivot is never positive.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(is_positive_definite(Matrix{{nan, 0.0}, {0.0, 1.0}}));
 }
 
 TEST(Lyap, CommonLyapunovForCommutingStablePair) {
@@ -375,9 +379,9 @@ TEST(Lyap, CommonLyapunovRejectsUnstableMember) {
   EXPECT_FALSE(find_common_lyapunov(a1, a2).found);
 }
 
-// The certificates below are pinned bit for bit: the subgradient phase is
-// one template over stack (n <= 6) and heap (n > 6) scratch storage, and
-// neither shape may move a certificate.
+// The certificates below are pinned bit for bit: the barrier method's
+// iterates, and so the first P that passes the acceptance test, are a
+// deterministic function of the pair.
 
 /// FNV-1a digest, so the long n = 7, 8 certificates fit on one line.
 std::uint64_t digest(const std::string& bytes) {
@@ -389,29 +393,53 @@ std::uint64_t digest(const std::string& bytes) {
   return h;
 }
 
+/// The acceptance test every certificate must pass.
+void expect_certifies(const Matrix& a1, const Matrix& a2,
+                      const CommonLyapunov& res, const std::string& what) {
+  EXPECT_TRUE(is_positive_definite(res.p)) << what;
+  EXPECT_TRUE(certifies_decrease(a1, res.p)) << what;
+  EXPECT_TRUE(certifies_decrease(a2, res.p)) << what;
+  EXPECT_FALSE(res.refuted) << what;
+}
+
 TEST(Lyap, TableOneCertificatesAreBitExact) {
+  // All six pairs have a CQLF; C6's margin is the thinnest (best t about
+  // 1e-9 at tr P = 1).
   const std::vector<casestudy::App> apps = casestudy::all_apps();
   ASSERT_EQ(apps.size(), 6u);
-  const std::string none = "cqlf=0:0x0:;";
   const std::string expected[6] = {
       "cqlf=1:4x4:"
-      "3ff00000000000003fa87a68c5d33e0b3fa66f833fe2bef63f8e07e3aca4f86c"
-      "3fa87a68c5d33e0b3f653f9e64d3a6973f638da3c7026c133f48dee42cb8ab8d"
-      "3fa66f833fe2bef63f638da3c7026c133f6493242ae131be3f4b0e4c4a216312"
-      "3f8e07e3aca4f86c3f48dee42cb8ab8d3f4b0e4c4a2163123f4385a7b88a67ee;",
-      none,
-      none,
-      none,
+      "3ff00000000000003fa48251fd6ee73e3f9d61113b1bc71a3f84fcd165865c69"
+      "3fa48251fd6ee73e3f67f5d9f423b3153f5858d7dc5eb5603f4274bd59eec1b1"
+      "3f9d61113b1bc71a3f5858d7dc5eb5603f5d4f76414924073f4345025e077e80"
+      "3f84fcd165865c693f4274bd59eec1b13f4345025e077e803f3e558ad9869d35;",
+      "cqlf=1:4x4:"
+      "3f814537578cb47f3f19600f1469445ebf41d88a9a991ec93f7bcca12b0ba23e"
+      "3f19600f1469445e3f0322a4f06368c93f6dbac2f65a63c3bf4330a50ec67b1b"
+      "bf41d88a9a991ec93f6dbac2f65a63c33ff0000000000000bfa9d908cbf12ab6"
+      "3f7bcca12b0ba23ebf4330a50ec67b1bbfa9d908cbf12ab63fb40117a1d04846;",
       "cqlf=1:3x3:"
-      "3ff0000000000000bf91527afe9192ae3f6f28d2668b7fb8"
-      "bf91527afe9192ae3f7432621b9652853f400c7331272547"
-      "3f6f28d2668b7fb83f400c73312725473f4a95a7fca2214d;",
-      none};
+      "3f9d31b65414cb583f24141e1546bf7c3fb668e2dd45e138"
+      "3f24141e1546bf7c3ed7565dc19b68b93f4a4e63385a09c2"
+      "3fb668e2dd45e1383f4a4e63385a09c23ff0000000000000;",
+      "cqlf=1:3x3:"
+      "3ff00000000000003fa55124d338bac43f4a95de329b53e8"
+      "3fa55124d338bac43f8db3a60f82ee9f3f34a19763ab6067"
+      "3f4a95de329b53e83f34a19763ab60673eeb3f72ad1d6818;",
+      "cqlf=1:3x3:"
+      "3ff00000000000003facd34942e4eea13f947222528f3855"
+      "3facd34942e4eea13f907ba2cf4f84d43f6c2bc9d9780595"
+      "3f947222528f38553f6c2bc9d97805953f67baa52d30603d;",
+      "cqlf=1:2x2:"
+      "3ff00000000000003ef652ad6f7ee291"
+      "3ef652ad6f7ee2913e2a859861c44e8a;"};
   for (std::size_t i = 0; i < apps.size(); ++i) {
     const control::SwitchedModes modes =
         control::switched_modes(apps[i].plant, apps[i].kt, apps[i].ke);
+    const CommonLyapunov res = find_common_lyapunov(modes.a_tt, modes.a_et);
+    expect_certifies(modes.a_tt, modes.a_et, res, apps[i].name);
     std::string bytes;
-    append_canonical(bytes, find_common_lyapunov(modes.a_tt, modes.a_et));
+    append_canonical(bytes, res);
     EXPECT_EQ(bytes, expected[i]) << apps[i].name;
   }
 }
@@ -426,17 +454,16 @@ Matrix pad_with_stable_block(const Matrix& a, Index to) {
   return out;
 }
 
-TEST(Lyap, HeapScratchCertificatesAreBitExact) {
-  // C1 (4x4) and C5 (3x3) need the subgradient phase; padded to n = 7
-  // and 8 they run it on heap scratch storage.
+TEST(Lyap, PaddedCertificatesAreBitExact) {
+  // C1 (4x4) and C5 (3x3) padded to n = 7 and 8: 28 and 36 unknowns.
   const struct {
     casestudy::App app;
     Index n;
     std::uint64_t digest;
-  } cases[] = {{casestudy::c1(), 7, 0xb0b1dfa0e52af2d6ull},
-               {casestudy::c1(), 8, 0xe94c9b9c09701e02ull},
-               {casestudy::c5(), 7, 0x3b694123bb4db2b7ull},
-               {casestudy::c5(), 8, 0x67097ef4ec5f1a5dull}};
+  } cases[] = {{casestudy::c1(), 7, 0x1e5f92fe8b3a0784ull},
+               {casestudy::c1(), 8, 0x4fa678c632ae54dcull},
+               {casestudy::c5(), 7, 0xbf9127473c70c231ull},
+               {casestudy::c5(), 8, 0xd89f4118df1a0138ull}};
   for (const auto& c : cases) {
     const control::SwitchedModes modes =
         control::switched_modes(c.app.plant, c.app.kt, c.app.ke);
@@ -444,16 +471,14 @@ TEST(Lyap, HeapScratchCertificatesAreBitExact) {
     const Matrix a2 = pad_with_stable_block(modes.a_et, c.n);
     const CommonLyapunov res = find_common_lyapunov(a1, a2);
     ASSERT_TRUE(res.found) << c.app.name << " n=" << c.n;
-    EXPECT_TRUE(is_positive_definite(res.p));
-    EXPECT_TRUE(certifies_decrease(a1, res.p));
-    EXPECT_TRUE(certifies_decrease(a2, res.p));
+    expect_certifies(a1, a2, res, c.app.name);
     std::string bytes;
     append_canonical(bytes, res);
     EXPECT_EQ(digest(bytes), c.digest) << c.app.name << " n=" << c.n;
   }
 }
 
-/// Seeded CQLF search input of size n. `family` picks the shape:
+/// Seeded CQLF input of size n. `family` picks the shape:
 ///   1: a2 mixes a1 with its transpose, at a1's spectral radius;
 ///   2: a2 is drawn independently of a1, at radius 0.3-0.6;
 ///   3: a2 is a1 plus a skew-symmetric perturbation, at a1's radius.
@@ -489,74 +514,143 @@ std::pair<Matrix, Matrix> seeded_pair(int family, Index n, int k) {
 }
 
 TEST(Lyap, SeededRandomPairsAreBitExact) {
-  // The Table-1 pairs only reach n = 2..4, so these seeded pairs pin the
-  // n = 5, 6 instantiations of the subgradient phase and its heap path
-  // (n = 7, 8). Per n: pairs the candidate phase certifies, pairs the
-  // subgradient phase certifies within a few hundred iterations and, for
-  // n <= 4, one it certifies only with the final check after the whole
-  // 40000-iteration budget. The seeds were picked for that mix and a
-  // short run time. The digests pin each certificate's canonical bytes as
-  // the one-matrix cyclic Jacobi method computes them, which the
-  // three-lane kernel must reproduce exactly.
+  // The Table-1 pairs only reach n = 2..4, so these seeded pairs pin
+  // certificates up to n = 8. Some are P = I, which passes the acceptance
+  // test at the start point P = I/n; the others take 7-23 Newton steps.
   const struct {
     int family;
     Index n;
     int seed;
     std::uint64_t digest;
   } cases[] = {
-      {1, 2, 0, 0xf8c17ada5d74d2d3ull},
-      {1, 2, 1, 0x576df084eec0a49bull},
-      {1, 2, 2, 0x0dba00b20777f417ull},
-      {1, 2, 18, 0x2e30937d8ff29e43ull},
-      {1, 2, 148, 0x344b0df42ea0dde6ull},
-      {1, 2, 28, 0x0be6608ff0f99054ull},
-      {1, 3, 0, 0x135d339c7625fb4cull},
-      {1, 3, 2, 0x3c87ab849dc44886ull},
-      {3, 3, 15, 0x83eb83ec2eab79e9ull},
-      {1, 3, 199, 0x4d303c85b134f41aull},
-      {3, 3, 81, 0x2a57d06a5dd4d88aull},
-      {1, 3, 15, 0x3f83b5618181ced5ull},
-      {1, 4, 0, 0xf9624236a52d1c50ull},
-      {1, 4, 1, 0x28905614f6f88d84ull},
-      {2, 4, 78, 0x5e91545655ccee91ull},
-      {2, 4, 64, 0xe38d45ae711c04a5ull},
-      {3, 4, 33, 0xebcb279a0b24afa1ull},
-      {2, 4, 2, 0xfc26fbf8153f92b7ull},
-      {1, 5, 0, 0xa8f0427fa582cf8aull},
-      {1, 5, 1, 0x74ed87176051a5faull},
-      {1, 5, 158, 0xb42e587b21c9011cull},
-      {1, 5, 19, 0x6d11c92eef40bdddull},
-      {3, 5, 34, 0x883592cd6f5bfff4ull},
-      {3, 5, 52, 0xd704d12dd8e2930eull},
-      {1, 6, 0, 0x440ed542a54d1ab0ull},
-      {1, 6, 1, 0xdcc91c10bb9e183bull},
-      {3, 6, 85, 0xe14cbb377f43dc85ull},
-      {1, 6, 179, 0x40dfe38c5e53d37aull},
-      {2, 6, 97, 0x62cb1e7e311024f3ull},
-      {2, 6, 139, 0x93d152b632fdcd1dull},
-      {1, 7, 2, 0xdc7c587357038a38ull},
-      {1, 7, 3, 0x5b744cd7a2b040bdull},
-      {1, 7, 4, 0xc592a050c022a0b7ull},
-      {2, 7, 30, 0xa0407002ef52fefeull},
-      {2, 7, 183, 0x5c6bc230fb5f4401ull},
-      {2, 7, 43, 0xc56c4645cc565708ull},
-      {1, 8, 0, 0x23a248ae0cc75f88ull},
-      {1, 8, 1, 0x474257944c2debc7ull},
-      {3, 8, 185, 0xa33c1a952f52bee8ull},
-      {3, 8, 10, 0xc977df0b9db5e189ull},
-      {3, 8, 56, 0xbd980116084d8a6full},
-      {3, 8, 181, 0x598dfc134b68942dull},
+      {1, 2, 0, 0xdf81f19b3bf03056ull},
+      {1, 2, 1, 0x01b74a0b87856b4cull},
+      {1, 2, 2, 0xdf81f19b3bf03056ull},
+      {1, 2, 18, 0xdf81f19b3bf03056ull},
+      {1, 2, 148, 0xdf81f19b3bf03056ull},
+      {1, 2, 28, 0xf08af06e9c243304ull},
+      {1, 3, 0, 0x8939316c441b0e87ull},
+      {1, 3, 2, 0x8939316c441b0e87ull},
+      {3, 3, 15, 0x602f3d88b02b889eull},
+      {1, 3, 199, 0x87d9b113cc60fdadull},
+      {3, 3, 81, 0xd09aa696f9c8800eull},
+      {1, 3, 15, 0xc03d8e66f92bf788ull},
+      {1, 4, 0, 0x9173a46d83d2b532ull},
+      {1, 4, 1, 0x9173a46d83d2b532ull},
+      {2, 4, 78, 0xac3f107318048e25ull},
+      {2, 4, 64, 0xac2c6c703d301eefull},
+      {3, 4, 33, 0xe5100bdee8c0fe8aull},
+      {2, 4, 2, 0x9e924dbf61ca7fa0ull},
+      {1, 5, 0, 0x028bddd2629f986eull},
+      {1, 5, 1, 0xce4ad9bcd60fa813ull},
+      {1, 5, 158, 0xf07028a8b72b0b6dull},
+      {1, 5, 19, 0xce4ad9bcd60fa813ull},
+      {3, 5, 34, 0x0dacb1139f34fbbeull},
+      {3, 5, 52, 0xdca5b4fcf3432bffull},
+      {1, 6, 0, 0xa3df261f407a84b9ull},
+      {1, 6, 1, 0xb879b01854b4442eull},
+      {3, 6, 85, 0x736f0d795756d4e3ull},
+      {1, 6, 179, 0x165b3deed5ed4b5cull},
+      {2, 6, 97, 0x3a4ca24a09dc48c0ull},
+      {2, 6, 139, 0x4da0c15ba3b8e64dull},
+      {1, 7, 2, 0x90c9f98f6848c7bfull},
+      {1, 7, 3, 0x90c9f98f6848c7bfull},
+      {1, 7, 4, 0x90c9f98f6848c7bfull},
+      {2, 7, 30, 0xe5b5b44361b56d32ull},
+      {2, 7, 183, 0x16aa1938ebba879full},
+      {2, 7, 43, 0xaf6ccb9f335529f6ull},
+      {1, 8, 0, 0x894aa3b90c8b3f53ull},
+      {1, 8, 1, 0x2ecda270bd22d767ull},
+      {3, 8, 185, 0x91c0abe5d22ed1e4ull},
+      {3, 8, 10, 0x448635c73b04d2a5ull},
+      {3, 8, 56, 0xb101750276fe503full},
+      {3, 8, 181, 0x1221d4b5cb5cdb9dull},
   };
   static_assert(sizeof(cases) / sizeof(cases[0]) == 42, "six pairs per n");
   for (const auto& c : cases) {
     const auto [a1, a2] = seeded_pair(c.family, c.n, c.seed);
     const CommonLyapunov res = find_common_lyapunov(a1, a2);
     EXPECT_TRUE(res.found) << c.family << "/" << c.n << "/" << c.seed;
+    expect_certifies(a1, a2, res, "seeded pair");
     std::string bytes;
     append_canonical(bytes, res);
     EXPECT_EQ(digest(bytes), c.digest)
         << c.family << "/" << c.n << "/" << c.seed;
   }
+}
+
+TEST(Lyap, SeededCampaignIsDecided) {
+  // Every pair is decided: either a P that passes the acceptance test or a
+  // dual certificate that refutes every CQLF, never both.
+  int found = 0;
+  int refuted = 0;
+  for (int family = 1; family <= 3; ++family)
+    for (Index n = 2; n <= 5; ++n)
+      for (int seed = 0; seed < 60; ++seed) {
+        const auto [a1, a2] = seeded_pair(family, n, seed);
+        const CommonLyapunov res = find_common_lyapunov(a1, a2);
+        const std::string what = std::to_string(family) + "/" +
+                                 std::to_string(n) + "/" +
+                                 std::to_string(seed);
+        EXPECT_NE(res.found, res.refuted) << what;
+        if (res.found) {
+          ++found;
+          expect_certifies(a1, a2, res, what);
+        }
+        if (res.refuted) {
+          ++refuted;
+          EXPECT_TRUE(res.p.empty()) << what;
+          EXPECT_TRUE(refutes_common_lyapunov(a1, a2, res.z1, res.z2))
+              << what;
+        }
+      }
+  EXPECT_EQ(found, 618);
+  EXPECT_EQ(refuted, 102);
+}
+
+TEST(Lyap, RefutationChecksTheDualInequality) {
+  // Two stable diagonal modes share P = I, so no dual point refutes them.
+  const Matrix d1{{0.5, 0.0}, {0.0, 0.2}};
+  const Matrix d2{{0.1, 0.0}, {0.0, 0.8}};
+  const Matrix half = Matrix::identity(2) * 0.5;
+  EXPECT_FALSE(refutes_common_lyapunov(d1, d2, half, half));
+  // Two nilpotent modes whose product has spectral radius 4: no CQLF.
+  // With z1 = diag(0.1, 1) and z2 = diag(1, 0.1), W = 2.9 I / 2.2, whose
+  // eigenvalues equal max |entry|: every relative margin below 1 passes.
+  const Matrix n1{{0.0, 2.0}, {0.0, 0.0}};
+  const Matrix n2{{0.0, 0.0}, {2.0, 0.0}};
+  const Matrix z1{{0.1, 0.0}, {0.0, 1.0}};
+  const Matrix z2{{1.0, 0.0}, {0.0, 0.1}};
+  EXPECT_TRUE(refutes_common_lyapunov(n1, n2, z1, z2));
+  EXPECT_TRUE(refutes_common_lyapunov(n1, n2, z1, z2, 0.99));
+  EXPECT_FALSE(refutes_common_lyapunov(n1, n2, z1, z2, 1.01));
+  // Each zi must be positive definite, not just semidefinite.
+  EXPECT_FALSE(refutes_common_lyapunov(n1, n2, Matrix{{0.0, 0.0}, {0.0, 1.0}},
+                                       z2));
+  const CommonLyapunov res = find_common_lyapunov(n1, n2);
+  EXPECT_FALSE(res.found);
+  ASSERT_TRUE(res.refuted);
+  EXPECT_TRUE(refutes_common_lyapunov(n1, n2, res.z1, res.z2));
+  EXPECT_NEAR(res.z1.trace() + res.z2.trace(), 1.0, 1e-12);
+}
+
+TEST(Lyap, RefutationStaysOutOfTheBytes) {
+  const control::SwitchedModes modes = control::switched_modes(
+      casestudy::dc_motor_position_plant(), casestudy::c1().kt,
+      casestudy::ke_unstable());
+  const CommonLyapunov res = find_common_lyapunov(modes.a_tt, modes.a_et);
+  ASSERT_TRUE(res.refuted);
+  std::string bytes;
+  append_canonical(bytes, res);
+  EXPECT_EQ(bytes, "cqlf=0:0x0:;");
+  std::string blob;
+  support::codec::Encoder enc(blob);
+  encode(enc, res);
+  support::codec::Decoder dec(blob);
+  CommonLyapunov back;
+  ASSERT_TRUE(decode(dec, back));
+  EXPECT_FALSE(back.found);
+  EXPECT_FALSE(back.refuted);
 }
 
 class LyapProperty : public ::testing::TestWithParam<unsigned> {};
